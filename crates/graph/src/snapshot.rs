@@ -97,6 +97,9 @@ pub struct GraphSnapshot {
     delta: Vec<EdgeDelta>,
     step: Permutation,
     lineage: Permutation,
+    /// `!lineage.is_identity()`, decided once at publication so the
+    /// read path never scans the n-entry lineage.
+    relabeled: bool,
 }
 
 impl GraphSnapshot {
@@ -131,9 +134,10 @@ impl GraphSnapshot {
     }
 
     /// Has any compaction in this snapshot's history renumbered
-    /// vertices relative to external ids?
+    /// vertices relative to external ids? A field read: the answer is
+    /// recorded when the snapshot is published.
     pub fn is_relabeled(&self) -> bool {
-        !self.lineage.is_identity()
+        self.relabeled
     }
 
     /// Map an external (root-lineage) vertex id to this snapshot's
@@ -187,6 +191,7 @@ impl SnapshotStore {
                 delta: Vec::new(),
                 step: Permutation::identity(n),
                 lineage: Permutation::identity(n),
+                relabeled: false,
             })),
         }
     }
@@ -217,6 +222,7 @@ impl SnapshotStore {
             delta,
             step: Permutation::identity(n),
             lineage: prev.lineage.clone(),
+            relabeled: prev.relabeled,
         });
         *slot = Arc::clone(&next);
         next
@@ -229,12 +235,17 @@ impl SnapshotStore {
     pub fn publish_compacted(&self, graph: Graph, step: Permutation) -> Arc<GraphSnapshot> {
         let mut slot = self.current.write().expect("snapshot lock poisoned");
         let prev = slot.as_ref();
+        // Computed from the composed lineage, not inherited: a step
+        // can undo an earlier relabeling (Rcm followed by its inverse).
+        let lineage = prev.lineage.then(&step);
+        let relabeled = !lineage.is_identity();
         let next = Arc::new(GraphSnapshot {
             graph,
             epoch: prev.epoch + 1,
             delta: Vec::new(),
-            step: step.clone(),
-            lineage: prev.lineage.then(&step),
+            step,
+            lineage,
+            relabeled,
         });
         *slot = Arc::clone(&next);
         next
@@ -253,6 +264,7 @@ impl SnapshotStore {
             delta: Vec::new(),
             step: Permutation::identity(n),
             lineage: Permutation::identity(n),
+            relabeled: false,
         });
         *slot = Arc::clone(&next);
         next
@@ -324,6 +336,51 @@ mod tests {
                 "lineage must equal the composition of the steps"
             );
         }
+    }
+
+    #[test]
+    fn relabeled_flag_tracks_the_lineage_through_every_publication() {
+        fn check(s: &GraphSnapshot, expect: bool) {
+            assert_eq!(s.is_relabeled(), !s.lineage().is_identity());
+            assert_eq!(s.is_relabeled(), expect, "epoch {}", s.epoch());
+        }
+        let store = SnapshotStore::with_epoch(barbell(5, 3).unwrap(), 7);
+        check(&store.pin(), false);
+
+        let delta_successor = |store: &SnapshotStore| {
+            let head = store.pin();
+            let mut dg = DeltaGraph::new(head.graph());
+            let w = head.graph().edge_weight(0, 1);
+            dg.insert_edge(0, 1, w + 1.0).unwrap();
+            let delta = dg.net_delta();
+            let (g, _) = dg.compact().unwrap();
+            store.publish_delta(g, delta)
+        };
+        let compacted = |store: &SnapshotStore, order| {
+            let head = store.pin();
+            let (g, step) = compact_ordered(&DeltaGraph::new(head.graph()), order).unwrap();
+            (store.publish_compacted(g, step.clone()), step)
+        };
+
+        check(&delta_successor(&store), false);
+        check(&compacted(&store, CompactionOrder::Preserve).0, false);
+        let (rcm, step) = compacted(&store, CompactionOrder::Rcm);
+        assert!(!step.is_identity());
+        check(&rcm, true);
+        // A delta inherits the flag; Preserve composes an identity step.
+        check(&delta_successor(&store), true);
+        check(&compacted(&store, CompactionOrder::Preserve).0, true);
+        // The inverse of the composed lineage undoes the relabeling:
+        // computed, not inherited.
+        let head = store.pin();
+        let back = head.lineage().inverse();
+        let restored = store.publish_compacted(head.graph().permute(&back).unwrap(), back);
+        check(&restored, false);
+        check(
+            &compacted(&store, CompactionOrder::DegreeDescending).0,
+            true,
+        );
+        check(&store.publish_root(path(4).unwrap()), false);
     }
 
     #[test]

@@ -326,12 +326,17 @@ pub(crate) fn push_core(
         ctx.push_residual(residual_mass);
         if let Some(exhausted) = ctx.add_work(traversals) {
             // Worst per-degree residual over positive-degree nodes: the
-            // pointwise error bound for the partial vector.
-            let per_degree_bound = (0..n)
-                .map(|u| {
-                    let d = g.degree(u as NodeId);
+            // pointwise error bound for the partial vector. Folded over
+            // the touched list, not `0..n`: untouched residuals read
+            // 0.0 and `max` is order-independent, so the bound is the
+            // dense scan's bit for bit at O(touched).
+            let per_degree_bound = ws
+                .touched
+                .iter()
+                .map(|&u| {
+                    let d = g.degree(u);
                     if d > 0.0 {
-                        ws.r.get(u) / d
+                        ws.r.get(u as usize) / d
                     } else {
                         0.0
                     }
@@ -789,6 +794,19 @@ mod tests {
         }
         assert!(remaining > 0.0 && remaining <= 1.0 + 1e-12);
         assert!(!out.diagnostics().events.is_empty() || !out.diagnostics().residuals.is_empty());
+
+        // The certificate is folded over the touched list (the far
+        // clique is never reached); pin it to the dense `0..n` scan.
+        let mut r = vec![0.0; g.n()];
+        for &(u, x) in &out.value().unwrap().residuals {
+            r[u as usize] = x;
+        }
+        let dense_scan = (0..g.n())
+            .map(|u| r[u] / g.degree(u as NodeId))
+            .fold(0.0f64, f64::max)
+            .max(1e-6);
+        assert!(per_degree > 1e-6, "the ε floor must not decide the bound");
+        assert_eq!(per_degree.to_bits(), dense_scan.to_bits());
     }
 
     #[test]

@@ -421,11 +421,15 @@ fn repair_core(
         ctx.tick_iter();
         ctx.push_residual(residual_mass);
         if let Some(exhausted) = ctx.add_work(traversals) {
-            let per_degree_bound = (0..n)
-                .map(|u| {
-                    let d = g.degree(u as NodeId);
+            // Over the touched list (see `push_core`): every nonzero
+            // residual is on it, so this is the dense scan's bound.
+            let per_degree_bound = ws
+                .touched
+                .iter()
+                .map(|&u| {
+                    let d = g.degree(u);
                     if d > 0.0 {
-                        ws.r.get(u).abs() / d
+                        ws.r.get(u as usize).abs() / d
                     } else {
                         0.0
                     }
@@ -858,6 +862,43 @@ mod tests {
         assert!(!rr.repaired, "degenerate column swap must fall back");
         let fresh = ppr_push(&g_new, &[0], alpha, eps).unwrap();
         assert_eq!(rr.vector, fresh.vector);
+    }
+
+    #[test]
+    fn exhausted_repair_certificate_matches_the_dense_scan() {
+        let (alpha, eps) = (0.1, 1e-6);
+        let g_old = barbell(8, 3).unwrap();
+        let prior = ppr_push(&g_old, &[0], alpha, eps).unwrap();
+        let mut dg = DeltaGraph::new(&g_old);
+        dg.insert_edge(0, 5, 4.0).unwrap();
+        let delta = dg.net_delta();
+        let (g_new, _) = dg.compact().unwrap();
+        let req = RepairRequest {
+            seeds: &[0],
+            estimate: &prior.vector,
+            residual: &prior.residuals,
+            delta: &delta,
+            alpha,
+            epsilon: eps,
+            mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
+        };
+        let mut ctx = acir_runtime::KernelCtx::budgeted(
+            "local.ppr_repair",
+            &acir_runtime::Budget::iterations(2),
+        );
+        let out = ppr_repair_ctx(&g_new, &req, &mut ctx).unwrap();
+        assert!(!out.is_converged() && out.is_usable());
+        let rr = out.value().unwrap();
+        let mut r = vec![0.0f64; g_new.n()];
+        for &(u, x) in &rr.residuals {
+            r[u as usize] = x;
+        }
+        let dense_scan = (0..g_new.n())
+            .map(|u| r[u].abs() / g_new.degree(u as NodeId))
+            .fold(0.0f64, f64::max)
+            .max(eps);
+        assert!(rr.per_degree_bound > eps, "the ε floor must not decide");
+        assert_eq!(rr.per_degree_bound.to_bits(), dense_scan.to_bits());
     }
 
     #[test]

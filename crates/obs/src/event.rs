@@ -13,7 +13,10 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Microseconds since the owning trace started. Diagnostic only;
-    /// never part of the canonical serialization.
+    /// never part of the canonical serialization. `Residual` events
+    /// carry a *sampled* stamp: the clock is re-read every 64th
+    /// residual and the ones in between repeat the trace's latest
+    /// reading (see `Trace::record`).
     pub wall_us: u64,
     /// What happened.
     pub kind: EventKind,

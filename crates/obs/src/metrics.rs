@@ -41,12 +41,16 @@ impl Histogram {
         }
     }
 
+    /// ⌊log₂ v⌋ read off the exponent bits — no libm call on the
+    /// per-sample path. Subnormals carry a zero exponent field, which
+    /// reads as −1023 and clamps to the lowest bucket like every other
+    /// sample below 2⁻⁶⁴.
     fn bucket_of(v: f64) -> usize {
         if !v.is_finite() || v <= 0.0 {
             return 0;
         }
-        let e = v.log2().floor();
-        (e.clamp(-64.0, 63.0) + 64.0) as usize
+        let e = ((v.to_bits() >> 52) & 0x7ff) as i64 - 1023;
+        (e.clamp(-64, 63) + 64) as usize
     }
 
     /// Record one sample.
@@ -126,9 +130,15 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Add `delta` to the named counter (creating it at zero).
+    /// Add `delta` to the named counter (creating it at zero). The key
+    /// is allocated only when the counter is new.
     pub fn incr(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Set the named counter to an absolute value.
@@ -142,11 +152,17 @@ impl MetricsRegistry {
     }
 
     /// Record a sample into the named histogram (creating it empty).
+    /// The key is allocated only when the histogram is new, so a hot
+    /// loop sampling one name allocates once, not once per sample.
     pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::new();
+                h.observe(v);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// The named histogram, if any sample was ever recorded into it.
@@ -211,6 +227,66 @@ mod tests {
         assert!(buckets.contains_key("-002"));
         assert!(buckets.contains_key("+010"));
         assert!(buckets.contains_key("-064"));
+    }
+
+    /// The libm form `bucket_of` replaced.
+    fn bucket_by_log2(v: f64) -> usize {
+        if !v.is_finite() || v <= 0.0 {
+            return 0;
+        }
+        (v.log2().floor().clamp(-64.0, 63.0) + 64.0) as usize
+    }
+
+    #[test]
+    fn bucket_of_reads_the_binary_exponent() {
+        let exact = |e: i32| (e.clamp(-64, 63) + 64) as usize;
+        for k in -1022..=1023i32 {
+            let p = 2f64.powi(k);
+            assert_eq!(Histogram::bucket_of(p), exact(k), "2^{k}");
+            assert_eq!(Histogram::bucket_of(p), bucket_by_log2(p), "2^{k}");
+            let up = f64::from_bits(p.to_bits() + 1);
+            assert_eq!(Histogram::bucket_of(up), exact(k), "next_up(2^{k})");
+            assert_eq!(
+                Histogram::bucket_of(up),
+                bucket_by_log2(up),
+                "next_up(2^{k})"
+            );
+            // Just below a power of two the binary exponent is k − 1.
+            // The libm form agrees for −1 ≤ k ≤ 2; beyond that log₂ of a
+            // value within 32 ulps of 2^k rounds up to k itself and
+            // `floor` lands one bucket high — the documented bucketing
+            // ("binary exponent") is what is pinned here.
+            let down = f64::from_bits(p.to_bits() - 1);
+            assert_eq!(Histogram::bucket_of(down), exact(k - 1), "next_down(2^{k})");
+            if (-1..=2).contains(&k) {
+                assert_eq!(Histogram::bucket_of(down), bucket_by_log2(down));
+            }
+        }
+        for d in -300..=300 {
+            for m in [1.0, 1.5, 2.0, 3.0, 5.0, 7.5, 9.999] {
+                let v = m * 10f64.powi(d);
+                assert_eq!(Histogram::bucket_of(v), bucket_by_log2(v), "{v:e}");
+            }
+        }
+        let subnormals = [f64::from_bits(1), 1e-310, f64::MIN_POSITIVE / 2.0];
+        for v in subnormals {
+            assert_eq!(Histogram::bucket_of(v), 0);
+            assert_eq!(Histogram::bucket_of(v), bucket_by_log2(v));
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            -1.0,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for v in specials {
+            assert_eq!(Histogram::bucket_of(v), 0, "{v}");
+        }
+        assert_eq!(Histogram::bucket_of(f64::MAX), 127);
+        assert_eq!(Histogram::bucket_of(f64::MIN_POSITIVE), 0);
     }
 
     #[test]

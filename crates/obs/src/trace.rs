@@ -17,7 +17,16 @@ use std::time::Instant;
 /// samples are counted but not stored, so hot million-iteration loops
 /// cannot blow up trace memory. All other kinds are unbounded (their
 /// counts are structurally small).
+///
+/// Wall stamps of stored residuals are *sampled*: the clock is re-read
+/// on every [`RESIDUAL_STAMP_STRIDE`]th residual and the samples in
+/// between repeat the trace's latest stamp, so a push loop recording
+/// one residual per push does not pay one clock read per push.
 const MAX_RESIDUAL_EVENTS: usize = 4096;
+
+/// Residual events between clock reads (see [`MAX_RESIDUAL_EVENTS`]).
+/// Every other kind is stamped with a fresh read.
+const RESIDUAL_STAMP_STRIDE: usize = 64;
 
 /// An ordered, deterministic event log for one solver run.
 #[derive(Debug, Clone)]
@@ -27,6 +36,8 @@ pub struct Trace {
     open: Vec<&'static str>,
     residual_events: usize,
     dropped_residuals: u64,
+    /// Latest clock reading, repeated by residuals between samples.
+    last_wall_us: u64,
 }
 
 impl Default for Trace {
@@ -44,6 +55,7 @@ impl Trace {
             open: Vec::new(),
             residual_events: 0,
             dropped_residuals: 0,
+            last_wall_us: 0,
         }
     }
 
@@ -51,17 +63,27 @@ impl Trace {
     ///
     /// `Residual` events past the storage cap are dropped (but
     /// counted); the drop rule depends only on how many residuals were
-    /// recorded before, so it is deterministic.
+    /// recorded before, so it is deterministic. Stored residuals
+    /// re-read the clock only every 64th sample and otherwise repeat
+    /// the latest stamp (stamps stay monotone and are diagnostic-only —
+    /// the canonical form omits them).
     pub fn record(&mut self, kind: EventKind) {
+        let mut read_clock = true;
         if matches!(kind, EventKind::Residual { .. }) {
             if self.residual_events >= MAX_RESIDUAL_EVENTS {
                 self.dropped_residuals += 1;
                 return;
             }
+            read_clock = self.residual_events % RESIDUAL_STAMP_STRIDE == 0;
             self.residual_events += 1;
         }
-        let wall_us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.events.push(Event { wall_us, kind });
+        if read_clock {
+            self.last_wall_us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        }
+        self.events.push(Event {
+            wall_us: self.last_wall_us,
+            kind,
+        });
     }
 
     /// Open a span: record `SpanEnter` and push it on the span stack.
@@ -137,6 +159,20 @@ impl Trace {
     /// Residual samples that were counted but not stored.
     pub fn dropped_residuals(&self) -> u64 {
         self.dropped_residuals
+    }
+
+    /// Discard all but the newest `keep` events and return how many
+    /// went. For long-lived owners (the serve engine's lifecycle
+    /// trail) that must not grow with the number of requests served;
+    /// open spans are bookkeeping, not events, and are unaffected.
+    pub fn keep_newest(&mut self, keep: usize) -> usize {
+        let dropped = self.events.len().saturating_sub(keep);
+        self.residual_events -= self.events[..dropped]
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Residual { .. }))
+            .count();
+        self.events.drain(..dropped);
+        dropped
     }
 
     /// Append another trace's events after this one's, preserving the
@@ -221,6 +257,61 @@ mod tests {
         }
         assert_eq!(t.len(), MAX_RESIDUAL_EVENTS);
         assert_eq!(t.dropped_residuals(), 10);
+    }
+
+    #[test]
+    fn residual_stamps_are_sampled_and_monotone() {
+        let mut t = Trace::new();
+        for i in 0..(3 * RESIDUAL_STAMP_STRIDE) {
+            if i == RESIDUAL_STAMP_STRIDE + 5 {
+                // Any other kind reads the clock and refreshes the
+                // stamp the following residuals repeat.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                t.record(EventKind::Note { text: "n".into() });
+            }
+            t.record(EventKind::Residual { value: i as f64 });
+        }
+        let stamps: Vec<u64> = t.events().iter().map(|e| e.wall_us).collect();
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "stamps monotone");
+        // Inside a stride every residual repeats the stride's reading.
+        let first = &stamps[..RESIDUAL_STAMP_STRIDE];
+        assert!(first.iter().all(|&s| s == first[0]));
+        let note_at = RESIDUAL_STAMP_STRIDE + 5;
+        assert!(stamps[note_at] >= stamps[note_at - 1] + 2_000);
+        assert_eq!(stamps[note_at + 1], stamps[note_at]);
+        // The sequence itself is untouched by the sampling.
+        let values: Vec<f64> = t
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Residual { value } => Some(value),
+                _ => None,
+            })
+            .collect();
+        let expect: Vec<f64> = (0..3 * RESIDUAL_STAMP_STRIDE).map(|i| i as f64).collect();
+        assert_eq!(values, expect);
+    }
+
+    #[test]
+    fn keep_newest_drops_from_the_front() {
+        let mut t = Trace::new();
+        t.enter("s");
+        for i in 0..10 {
+            t.record(EventKind::Residual { value: i as f64 });
+        }
+        assert_eq!(t.keep_newest(64), 0);
+        assert_eq!(t.keep_newest(4), 7);
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.open_spans(), ["s"]);
+        match t.events()[0].kind {
+            EventKind::Residual { value } => assert_eq!(value, 6.0),
+            ref other => panic!("unexpected {other:?}"),
+        }
+        // Dropped residuals free their storage slots.
+        for i in 0..MAX_RESIDUAL_EVENTS {
+            t.record(EventKind::Residual { value: i as f64 });
+        }
+        assert_eq!(t.dropped_residuals(), 4);
     }
 
     #[test]

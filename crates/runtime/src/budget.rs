@@ -116,27 +116,35 @@ impl Budget {
     /// * splitting an already-[`Budget::zero`] budget yields `k` zero
     ///   shares.
     pub fn split_across(&self, k: usize) -> Vec<Budget> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let share = |total: u64, i: u64| -> u64 {
+        (0..k as u64).map(|i| self.share(k as u64, i)).collect()
+    }
+
+    /// The first — largest — share of [`Self::split_across`]`(k)`
+    /// without materializing the other `k − 1`: what an admission
+    /// controller granting one request at a time needs. `None` for
+    /// `k == 0`, like `split_across(0).first()`.
+    pub fn first_share(&self, k: usize) -> Option<Budget> {
+        (k > 0).then(|| self.share(k as u64, 0))
+    }
+
+    /// Share `i` of a `k`-way split (`k ≥ 1`).
+    fn share(&self, k: u64, i: u64) -> Budget {
+        let axis = |total: u64| -> u64 {
             if total == u64::MAX {
                 u64::MAX
             } else {
-                total / k as u64 + u64::from(i < total % k as u64)
+                total / k + u64::from(i < total % k)
             }
         };
-        (0..k as u64)
-            .map(|i| Budget {
-                max_iters: if self.max_iters == usize::MAX {
-                    usize::MAX
-                } else {
-                    share(self.max_iters as u64, i) as usize
-                },
-                max_work: share(self.max_work, i),
-                deadline: self.deadline,
-            })
-            .collect()
+        Budget {
+            max_iters: if self.max_iters == usize::MAX {
+                usize::MAX
+            } else {
+                axis(self.max_iters as u64) as usize
+            },
+            max_work: axis(self.max_work),
+            deadline: self.deadline,
+        }
     }
 
     /// Begin metering a run against this budget.
@@ -385,6 +393,27 @@ mod tests {
         assert!(Budget::unlimited().split_across(0).is_empty());
         assert!(Budget::work(100).split_across(0).is_empty());
         assert!(Budget::zero().split_across(0).is_empty());
+        assert!(Budget::work(100).first_share(0).is_none());
+    }
+
+    #[test]
+    fn first_share_is_the_head_of_the_split() {
+        let budgets = [
+            Budget::work(10),
+            Budget::work(3),
+            Budget::iterations(7),
+            Budget::unlimited(),
+            Budget::zero(),
+            Budget::work(1_000_003).with_deadline(Duration::from_secs(2)),
+        ];
+        for b in budgets {
+            for k in 1..=9 {
+                let (first, split) = (b.first_share(k).unwrap(), b.split_across(k));
+                assert_eq!(first.max_work, split[0].max_work, "{b:?} / {k}");
+                assert_eq!(first.max_iters, split[0].max_iters, "{b:?} / {k}");
+                assert_eq!(first.deadline, split[0].deadline, "{b:?} / {k}");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::budget::{BudgetMeter, Exhaustion};
 use crate::outcome::Certificate;
 use acir_obs::{EventKind, MetricsRegistry, Trace};
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Hard cap on stored residuals; beyond it the trail is thinned by
@@ -162,11 +163,13 @@ impl Diagnostics {
     /// shared trace vocabulary.
     pub fn request_stage(&mut self, id: u64, stage: impl Into<String>) {
         let stage = stage.into();
-        self.trace.record(EventKind::Request {
-            id,
-            stage: stage.clone(),
-        });
-        self.events.push(format!("request {id}: {stage}"));
+        // Two allocations per stage, the two strings kept: the trail
+        // line is sized up front (`format!` guesses short and regrows
+        // mid-write) and the label moves into the typed event.
+        let mut line = String::with_capacity("request : ".len() + 20 + stage.len());
+        let _ = write!(line, "request {id}: {stage}");
+        self.trace.record(EventKind::Request { id, stage });
+        self.events.push(line);
     }
 
     /// Record a sweep cut (or harvested cluster).
@@ -174,6 +177,16 @@ impl Diagnostics {
         self.trace.record(EventKind::SweepCut { size, conductance });
         self.metrics.incr("sweep_cuts", 1);
         self.metrics.observe("sweep_conductance", conductance);
+    }
+
+    /// Discard all but the newest `keep` entries of the event trail
+    /// and of the typed trace, returning how many typed events went.
+    /// For diagnostics that live as long as their owner (the serve
+    /// engine's lifecycle trail) rather than for one run.
+    pub fn keep_newest(&mut self, keep: usize) -> usize {
+        let stale = self.events.len().saturating_sub(keep);
+        self.events.drain(..stale);
+        self.trace.keep_newest(keep)
     }
 
     /// Copy counters out of a finished meter.
@@ -250,6 +263,29 @@ mod tests {
         assert!(d.residual_stride >= 4);
         assert_eq!(d.residuals[0], 0.0);
         assert_eq!(d.last_residual(), Some((MAX_RESIDUALS * 4 - 1) as f64));
+    }
+
+    #[test]
+    fn keep_newest_trims_trail_and_trace_from_the_front() {
+        let mut d = Diagnostics::for_kernel("k");
+        for i in 0..8u64 {
+            d.request_stage(i, "admitted");
+            d.certificate_issued(&Certificate::ResidualNorm { value: 0.1 });
+        }
+        // 1 span_enter + 8 × (request, certificate) typed events; 8
+        // trail lines.
+        assert_eq!(d.keep_newest(4), 13);
+        assert_eq!(d.trace.len(), 4);
+        assert_eq!(
+            d.events,
+            [
+                "request 4: admitted",
+                "request 5: admitted",
+                "request 6: admitted",
+                "request 7: admitted"
+            ]
+        );
+        assert_eq!(d.keep_newest(4), 0);
     }
 
     #[test]

@@ -72,6 +72,7 @@ use acir_runtime::{
     RetryPolicy, SolverOutcome, SpmvLayout,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -358,6 +359,9 @@ pub struct EngineStats {
     /// Requests answered through the sketch-splice path (attempt 0
     /// spliced hub sketches instead of a cold push).
     pub spliced: u64,
+    /// Oldest events dropped from the engine trail ([`Engine::trace`])
+    /// to keep it bounded; `0` until the trail first outgrows its cap.
+    pub trace_events_dropped: u64,
 }
 
 impl EngineStats {
@@ -439,6 +443,75 @@ struct StagedWrite {
     request: u64,
     op: WriteOp,
 }
+
+/// A keyed store with first-in-first-out eviction at a fixed capacity:
+/// `order` holds every key of `map` exactly once, oldest insertion
+/// first. The answer cache and the stale cache are each one of these,
+/// so "which entry goes next" has a single definition.
+#[derive(Debug)]
+struct FifoMap<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    cap: usize,
+}
+
+impl<K: Clone + Eq + Hash, V> FifoMap<K, V> {
+    fn new(cap: usize) -> Self {
+        Self {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            cap,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+    }
+
+    /// Insert or overwrite — an overwritten key keeps its place in
+    /// line — then evict oldest-first down to the capacity.
+    fn insert(&mut self, key: K, value: V) {
+        match self.map.get_mut(&key) {
+            Some(slot) => *slot = value,
+            None => {
+                self.order.push_back(key.clone());
+                self.map.insert(key, value);
+            }
+        }
+        while self.map.len() > self.cap && self.pop_oldest().is_some() {}
+    }
+
+    fn oldest(&self) -> Option<&V> {
+        self.order.front().and_then(|k| self.map.get(k))
+    }
+
+    fn pop_oldest(&mut self) -> Option<(K, V)> {
+        let key = self.order.pop_front()?;
+        let value = self.map.remove(&key)?;
+        Some((key, value))
+    }
+}
+
+/// Capacity of the stale cache (the `Stale` fallback rung's store).
+/// Fixed: an engine must not grow with the number of requests it has
+/// served, and the fallback only needs a recent window.
+const STALE_CACHE_CAP: usize = 4096;
+
+/// Events of the engine trail ([`Engine::trace`]) that are always
+/// retained. The trail is trimmed back to this many once it holds
+/// twice as many — one `O(cap)` drain per `cap` events recorded, so
+/// amortized `O(1)` — and the drops are counted in
+/// [`EngineStats::trace_events_dropped`].
+const TRACE_CAP: usize = 65_536;
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
@@ -564,12 +637,13 @@ pub struct Engine {
     next_id: u64,
     available: u64,
     queue: VecDeque<Pending>,
-    cache: HashMap<CacheKey, CacheEntry>,
+    /// The stale cache: latest `Full`/`Coarsened` answer per
+    /// `(seeds, α)` in external ids, served across epochs as `Stale`.
+    cache: FifoMap<CacheKey, CacheEntry>,
     /// Answer-cache payloads live in the *head snapshot's internal* id
     /// space and are kept synchronized with the head across deltas
     /// (repair) and compactions (relabel); keys carry external seeds.
-    answers: HashMap<AnswerKey, AnswerEntry>,
-    answer_order: VecDeque<AnswerKey>,
+    answers: FifoMap<AnswerKey, AnswerEntry>,
     /// The hub-sketch store, `Arc`-shared so each admission pins the
     /// store alongside its snapshot: a rebuild, repair, or relabel
     /// publishes a *new* store and in-flight requests keep splicing
@@ -595,15 +669,15 @@ impl Engine {
         let available = cfg.capacity;
         let snapshots = SnapshotStore::new(g);
         let head = snapshots.pin();
+        let answers = FifoMap::new(cfg.answer_cache_cap);
         let mut engine = Self {
             snapshots,
             head,
             cfg,
             next_id: 0,
             available,
-            cache: HashMap::new(),
-            answers: HashMap::new(),
-            answer_order: VecDeque::new(),
+            cache: FifoMap::new(STALE_CACHE_CAP),
+            answers,
             sketches: None,
             queue: VecDeque::new(),
             stats: EngineStats::default(),
@@ -678,7 +752,6 @@ impl Engine {
         let reuse_hubs = self.reusable_hub_selection(&g);
         self.head = self.snapshots.publish_root(g);
         self.answers.clear();
-        self.answer_order.clear();
         self.trace
             .note(format!("graph swapped; epoch {}", self.head.epoch()));
         // With the sketch path disabled there is nothing to rebuild —
@@ -688,6 +761,7 @@ impl Engine {
         } else {
             self.deltas_since_resketch = 0;
         }
+        self.trim_trace();
     }
 
     /// The current store's hub list, when `g` provably yields the same
@@ -822,21 +896,18 @@ impl Engine {
         }
 
         self.repair_answers(&delta, &mut summary);
+        self.trim_trace();
         Ok(summary)
     }
 
     /// Revalidate-or-repair every answer-cache entry across `delta`,
     /// re-keying survivors to the current (just-bumped) epoch. Walks
-    /// `answer_order` (the FIFO), not the map, so the pass is
-    /// deterministic and preserves eviction order.
+    /// the cache oldest-first, so the pass is deterministic and
+    /// preserves eviction order.
     fn repair_answers(&mut self, delta: &[EdgeDelta], summary: &mut DeltaSummary) {
         let epoch = self.head.epoch();
-        let old_order = std::mem::take(&mut self.answer_order);
-        let mut old_answers = std::mem::take(&mut self.answers);
-        for key in old_order {
-            let Some(mut entry) = old_answers.remove(&key) else {
-                continue;
-            };
+        let mut old = std::mem::replace(&mut self.answers, FifoMap::new(self.cfg.answer_cache_cap));
+        while let Some((key, mut entry)) = old.pop_oldest() {
             // The cache is kept synchronized with the head: every live
             // entry's key carries the pre-delta epoch. Anything else is
             // a stray (should not happen) and cannot be repaired by a
@@ -893,9 +964,7 @@ impl Engine {
                     entry.vector = rr.vector;
                     entry.residuals = rr.residuals;
                     entry.certificate = certificate;
-                    let new_key = (key.0, key.1, key.2, epoch);
-                    self.answer_order.push_back(new_key.clone());
-                    self.answers.insert(new_key, entry);
+                    self.answers.insert((key.0, key.1, key.2, epoch), entry);
                 }
                 Err(e) => {
                     self.trace
@@ -965,6 +1034,7 @@ impl Engine {
         }
 
         self.relabel_answers(&step, &mut summary);
+        self.trim_trace();
         Ok(summary)
     }
 
@@ -978,12 +1048,8 @@ impl Engine {
     /// still holds word for word.
     fn relabel_answers(&mut self, step: &Permutation, summary: &mut CompactionSummary) {
         let epoch = self.head.epoch();
-        let old_order = std::mem::take(&mut self.answer_order);
-        let mut old_answers = std::mem::take(&mut self.answers);
-        for key in old_order {
-            let Some(mut entry) = old_answers.remove(&key) else {
-                continue;
-            };
+        let mut old = std::mem::replace(&mut self.answers, FifoMap::new(self.cfg.answer_cache_cap));
+        while let Some((key, mut entry)) = old.pop_oldest() {
             if key.3 + 1 != epoch {
                 summary.answers_dropped += 1;
                 continue;
@@ -1034,9 +1100,7 @@ impl Engine {
                 }
             }
             summary.answers_relabeled += 1;
-            let new_key = (key.0, key.1, key.2, epoch);
-            self.answer_order.push_back(new_key.clone());
-            self.answers.insert(new_key, entry);
+            self.answers.insert((key.0, key.1, key.2, epoch), entry);
         }
         if summary.answers_relabeled + summary.answers_dropped > 0 {
             self.trace.note(format!(
@@ -1178,17 +1242,7 @@ impl Engine {
             return;
         }
         self.expire_answers();
-        if self.answers.insert(key.clone(), entry).is_none() {
-            self.answer_order.push_back(key);
-        }
-        while self.answers.len() > self.cfg.answer_cache_cap {
-            match self.answer_order.pop_front() {
-                Some(old) => {
-                    self.answers.remove(&old);
-                }
-                None => break,
-            }
-        }
+        self.answers.insert(key, entry);
     }
 
     /// Expire answer-cache entries older than `cfg.answer_ttl`
@@ -1201,17 +1255,19 @@ impl Engine {
             return;
         }
         let clock = self.request_clock;
-        while let Some(front) = self.answer_order.front() {
-            let expired = match self.answers.get(front) {
-                Some(e) => clock.saturating_sub(e.born) > ttl,
-                None => true,
-            };
-            if !expired {
-                break;
-            }
-            if let Some(old) = self.answer_order.pop_front() {
-                self.answers.remove(&old);
-            }
+        while self
+            .answers
+            .oldest()
+            .is_some_and(|e| clock.saturating_sub(e.born) > ttl)
+        {
+            self.answers.pop_oldest();
+        }
+    }
+
+    /// Keep the engine trail bounded (see [`TRACE_CAP`]).
+    fn trim_trace(&mut self) {
+        if self.trace.trace.len() >= 2 * TRACE_CAP {
+            self.stats.trace_events_dropped += self.trace.keep_newest(TRACE_CAP) as u64;
         }
     }
 
@@ -1267,8 +1323,7 @@ impl Engine {
         }
         let free = self.cfg.queue_cap - self.queue.len();
         let grant = Budget::work(self.available)
-            .split_across(free)
-            .first()
+            .first_share(free)
             .map_or(0, |b| b.max_work);
         if grant < self.cfg.min_grant {
             self.stats.rejected_starved += 1;
@@ -1343,15 +1398,18 @@ impl Engine {
     /// cycle.
     pub fn run_pending(&mut self) -> Vec<Response> {
         self.expire_answers();
-        let pending: Vec<Pending> = self.queue.drain(..).collect();
-        let mut responses: Vec<Response> = Vec::with_capacity(pending.len());
-        if pending.is_empty() {
+        if self.queue.is_empty() {
             self.refill();
-            return responses;
+            return Vec::new();
         }
+        // The queue's buffer is lent to this cycle and handed back
+        // empty, so draining costs no allocation; nothing is admitted
+        // while `run_pending` holds the engine.
+        let mut pending = std::mem::take(&mut self.queue);
+        let mut responses: Vec<Response> = Vec::with_capacity(pending.len());
 
         let mut computes: Vec<(Pending, f64, Budget)> = Vec::new();
-        for p in pending {
+        for p in pending.drain(..) {
             self.fire_staged(PublishPoint::BeforeCacheCheck, p.id);
             // Exact answer-cache hit: same seeds, α, ε, and epoch as an
             // earlier Full answer — served without compute (and without
@@ -1361,16 +1419,20 @@ impl Engine {
             // pinned snapshot's — a pre-mutation answer can never
             // surface here.
             let key = answer_key(&p.query.seeds, p.query.alpha, p.query.epsilon, p.epoch());
-            if let Some(entry) = self.answers.get(&key).cloned() {
+            if let Some(entry) = self.answers.get(&key) {
+                // Copy what is served — not the residuals and seeds the
+                // entry keeps for repair.
+                let (vector, epsilon, certificate) =
+                    (entry.vector.clone(), entry.epsilon, entry.certificate);
                 self.trace.request_stage(p.id, "cache_hit");
-                let sweep = self.sweep_stage(&p, &entry.vector);
-                let cluster = externalize(&p.snapshot, entry.vector);
+                let sweep = self.sweep_stage(&p, &vector);
+                let cluster = externalize(&p.snapshot, vector);
                 let r = self.respond(
                     p,
                     ResponseKind::Cached,
-                    entry.epsilon,
+                    epsilon,
                     cluster,
-                    entry.certificate,
+                    certificate,
                     0,
                     sweep,
                     Diagnostics::new(),
@@ -1393,6 +1455,7 @@ impl Engine {
                 }
             }
         }
+        self.queue = pending;
 
         // Coalesce compatible requests (same α, same ε rung, same
         // pinned epoch) into one lockstep batch call for attempt 0.
@@ -1484,6 +1547,7 @@ impl Engine {
         }
 
         self.refill();
+        self.trim_trace();
         responses.sort_by_key(|r| r.id);
         responses
     }
@@ -2129,6 +2193,95 @@ mod tests {
         assert_eq!(e.stats().seed_only, 1);
         assert_eq!(e.stats().cached, 1);
         assert_eq!(e.stats().stale, 1);
+    }
+
+    #[test]
+    fn stale_cache_is_bounded_and_evicts_oldest_first() {
+        // A request whose deadline has already passed skips compute and
+        // lands on the fallback rungs: `Stale` if the key is cached.
+        fn probe(e: &mut Engine, u: NodeId) -> Response {
+            let dead = Query {
+                deadline: Some(Duration::ZERO),
+                ..query(&[u])
+            };
+            assert!(e.submit(dead).is_accepted());
+            e.run_pending().remove(0)
+        }
+        let n = STALE_CACHE_CAP + 8;
+        let mut e = Engine::new(
+            cycle(n).unwrap(),
+            EngineConfig {
+                answer_cache_cap: 0,
+                ..EngineConfig::default()
+            },
+        );
+        for u in 0..n as NodeId {
+            assert!(e.submit(query(&[u])).is_accepted());
+            if e.pending() == 64 || u as usize == n - 1 {
+                assert!(e.run_pending().iter().all(|r| r.kind == ResponseKind::Full));
+                assert!(e.cache.len() <= STALE_CACHE_CAP);
+            }
+        }
+        assert_eq!(e.cache.len(), STALE_CACHE_CAP);
+        // Overwriting a key neither grows the cache nor renews its turn.
+        assert!(e.submit(query(&[8])).is_accepted());
+        assert_eq!(e.run_pending()[0].kind, ResponseKind::Full);
+        assert_eq!(e.cache.len(), STALE_CACHE_CAP);
+
+        // The eight oldest keys are gone; the window starts at seed 8,
+        // and what it serves is labeled with the epoch it was certified in.
+        e.update_graph(cycle(n).unwrap());
+        for u in [0, 7] {
+            assert_eq!(probe(&mut e, u).kind, ResponseKind::SeedOnly);
+        }
+        for u in [8, 9, n as NodeId - 1] {
+            let r = probe(&mut e, u);
+            assert_eq!(r.kind, ResponseKind::Stale);
+            match r.certificate {
+                Certificate::StaleResidualMass { epoch, .. } => assert_eq!(epoch, 0),
+                c => panic!("wrong certificate {c:?}"),
+            }
+        }
+        // One more distinct key evicts seed 8, overwritten or not.
+        assert!(e.submit(query(&[0])).is_accepted());
+        assert_eq!(e.run_pending()[0].kind, ResponseKind::Full);
+        assert_eq!(e.cache.len(), STALE_CACHE_CAP);
+        assert_eq!(probe(&mut e, 8).kind, ResponseKind::SeedOnly);
+        assert_eq!(probe(&mut e, 9).kind, ResponseKind::Stale);
+    }
+
+    #[test]
+    fn engine_trail_is_bounded_and_counts_what_it_drops() {
+        let mut e = Engine::new(barbell(6, 2).unwrap(), EngineConfig::default());
+        assert!(e.submit(query(&[0])).is_accepted());
+        assert_eq!(e.run_pending()[0].kind, ResponseKind::Full);
+        // span_enter + (admitted, certificate, responded) so far; every
+        // exact repeat adds (admitted, cache_hit, certificate, responded).
+        let mut recorded = 4u64;
+        assert_eq!(e.trace().trace.len() as u64, recorded);
+        let mut last_id = 0;
+        while e.stats().trace_events_dropped == 0 {
+            for _ in 0..64 {
+                last_id = e.submit(query(&[0])).id().unwrap();
+            }
+            assert!(e
+                .run_pending()
+                .iter()
+                .all(|r| r.kind == ResponseKind::Cached));
+            recorded += 4 * 64;
+            assert!(e.trace().trace.len() < 2 * TRACE_CAP);
+            assert!(recorded < 4 * TRACE_CAP as u64, "the trail never trimmed");
+        }
+        // Trimmed to exactly the newest TRACE_CAP, nothing lost uncounted.
+        assert_eq!(e.trace().trace.len(), TRACE_CAP);
+        assert_eq!(e.trace().events.len(), TRACE_CAP);
+        assert_eq!(e.stats().trace_events_dropped, recorded - TRACE_CAP as u64);
+        assert_eq!(
+            e.trace().events.last().unwrap(),
+            &format!("request {last_id}: responded:cached")
+        );
+        // Its root span is still open: trimming drops events, not spans.
+        assert_eq!(e.trace().trace.open_spans(), ["serve.engine"]);
     }
 
     #[test]

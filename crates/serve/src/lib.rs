@@ -58,7 +58,8 @@
 //!   on the current graph. Full graph swaps invalidate the whole
 //!   cache; the older `(seeds, α)` stale cache survives swaps but
 //!   labels its answers with the epoch they were certified against
-//!   (`Certificate::StaleResidualMass`). A per-entry request-count TTL
+//!   (`Certificate::StaleResidualMass`) and holds a fixed 4,096 keys,
+//!   oldest evicted first. A per-entry request-count TTL
 //!   ([`engine::EngineConfig::answer_ttl`]) expires entries in the
 //!   same FIFO order capacity eviction uses.
 //! * **Incremental deltas** ([`Engine::update_graph_delta`]) — edge
