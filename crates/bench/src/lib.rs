@@ -1,8 +1,8 @@
 //! # acir-bench
 //!
-//! Benchmark harness of the ACIR reproduction: criterion microbenches
-//! (`benches/`), the figure-regeneration binaries (`src/bin/`), and the
-//! wall-clock `perfsuite` that emits `BENCH_parallel.json`.
+//! The figure-regeneration binaries of the ACIR reproduction
+//! (`src/bin/`) and the CLI arguments they share ([`BinArgs`]).
+//! Performance is measured by the separate `benchmark/` crate, not here.
 //!
 //! Binaries (run with `--release`; each writes CSVs under `results/`
 //! and prints the tables recorded in EXPERIMENTS.md):
@@ -13,69 +13,10 @@
 //! * `casestudy3` — the §3.3 locality/recovery table and the
 //!   seed-exclusion demo;
 //! * `ablations` — Cheeger table, worst-case geometry sweeps, early
-//!   stopping, and noise ablations;
-//! * `perfsuite` — times SpMV / batched PPR / Lanczos / NCP across
-//!   thread counts and writes `BENCH_parallel.json`.
+//!   stopping, and noise ablations.
 //!
 //! A `--quick` flag on each binary shrinks the workload for smoke
 //! runs; the full configuration is the EXPERIMENTS.md reference.
-
-/// Node ordering selected by `--reorder` (opt-in: the default `None`
-/// preserves the input ordering bit-for-bit).
-///
-/// Reordering relabels nodes so that adjacent nodes get nearby ids,
-/// shrinking the CSR bandwidth and making SpMV and diffusion sweeps
-/// cache-friendlier; results are mapped back to original ids via
-/// [`acir_graph::Permutation`], so outputs are invariant up to the
-/// relabeling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Reorder {
-    /// Keep the input node ordering (the default).
-    #[default]
-    None,
-    /// Reverse Cuthill–McKee: per-component BFS from a low-degree
-    /// start, reversed — the classic bandwidth-minimizing heuristic.
-    Rcm,
-    /// Degree-descending: hubs first, so the hottest rows share cache.
-    Degree,
-}
-
-impl Reorder {
-    /// The permutation this mode prescribes for `g`; `None` for the
-    /// identity mode, so callers can skip the permute entirely.
-    pub fn permutation(self, g: &acir_graph::Graph) -> Option<acir_graph::Permutation> {
-        match self {
-            Reorder::None => None,
-            Reorder::Rcm => Some(acir_graph::Permutation::rcm(g)),
-            Reorder::Degree => Some(acir_graph::Permutation::degree_descending(g)),
-        }
-    }
-}
-
-impl std::str::FromStr for Reorder {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "none" => Ok(Reorder::None),
-            "rcm" => Ok(Reorder::Rcm),
-            "degree" => Ok(Reorder::Degree),
-            other => Err(format!(
-                "--reorder needs one of none|rcm|degree, got `{other}`"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Reorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Reorder::None => "none",
-            Reorder::Rcm => "rcm",
-            Reorder::Degree => "degree",
-        })
-    }
-}
 
 /// Common CLI arguments of the experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,12 +30,10 @@ pub struct BinArgs {
     /// Worker-thread override (`--threads N`); `None` leaves the
     /// `ACIR_THREADS` environment / per-call defaults in charge.
     pub threads: Option<usize>,
-    /// Node-ordering override (`--reorder none|rcm|degree`).
-    pub reorder: Reorder,
 }
 
 /// One line per supported flag; printed to stderr on a parse error.
-pub const USAGE: &str = "supported arguments:\n  --quick        run the reduced smoke-test configuration\n  --seed N       base RNG seed (non-negative integer)\n  --out DIR      output directory for artifacts\n  --threads N    worker threads (positive integer; sets ACIR_THREADS)\n  --reorder M    node ordering: none (default), rcm, or degree";
+pub const USAGE: &str = "supported arguments:\n  --quick        run the reduced smoke-test configuration\n  --seed N       base RNG seed (non-negative integer)\n  --out DIR      output directory for artifacts\n  --threads N    worker threads (positive integer; sets ACIR_THREADS)";
 
 impl BinArgs {
     /// Parse from `std::env::args`, reporting bad input like a CLI tool
@@ -129,7 +68,6 @@ impl BinArgs {
             seed: 0xAC1D,
             out_dir: std::path::PathBuf::from("results"),
             threads: None,
-            reorder: Reorder::None,
         };
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -155,12 +93,6 @@ impl BinArgs {
                     }
                     out.threads = Some(n);
                 }
-                "--reorder" => {
-                    let v = args
-                        .next()
-                        .ok_or("--reorder needs a mode (none|rcm|degree)")?;
-                    out.reorder = v.parse()?;
-                }
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
@@ -184,7 +116,6 @@ mod tests {
         assert_eq!(a.seed, 0xAC1D);
         assert_eq!(a.out_dir, std::path::PathBuf::from("results"));
         assert_eq!(a.threads, None);
-        assert_eq!(a.reorder, Reorder::None);
     }
 
     #[test]
@@ -197,40 +128,12 @@ mod tests {
             "artifacts",
             "--threads",
             "4",
-            "--reorder",
-            "rcm",
         ])
         .unwrap();
         assert!(a.quick);
         assert_eq!(a.seed, 7);
         assert_eq!(a.out_dir, std::path::PathBuf::from("artifacts"));
         assert_eq!(a.threads, Some(4));
-        assert_eq!(a.reorder, Reorder::Rcm);
-        assert_eq!(
-            parse(&["--reorder", "degree"]).unwrap().reorder,
-            Reorder::Degree
-        );
-        assert_eq!(
-            parse(&["--reorder", "none"]).unwrap().reorder,
-            Reorder::None
-        );
-    }
-
-    #[test]
-    fn reorder_round_trips_through_display() {
-        for mode in [Reorder::None, Reorder::Rcm, Reorder::Degree] {
-            assert_eq!(mode.to_string().parse::<Reorder>().unwrap(), mode);
-        }
-    }
-
-    #[test]
-    fn reorder_prescribes_a_permutation_only_when_active() {
-        let g = acir_graph::gen::deterministic::cycle(6).unwrap();
-        assert!(Reorder::None.permutation(&g).is_none());
-        let p = Reorder::Rcm.permutation(&g).unwrap();
-        assert_eq!(p.len(), 6);
-        let p = Reorder::Degree.permutation(&g).unwrap();
-        assert_eq!(p.len(), 6);
     }
 
     #[test]
@@ -245,15 +148,11 @@ mod tests {
             .unwrap_err()
             .contains("at least 1"));
         assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown"));
-        assert!(parse(&["--reorder"]).unwrap_err().contains("--reorder"));
-        assert!(parse(&["--reorder", "hilbert"])
-            .unwrap_err()
-            .contains("hilbert"));
     }
 
     #[test]
     fn usage_names_every_flag() {
-        for flag in ["--quick", "--seed", "--out", "--threads", "--reorder"] {
+        for flag in ["--quick", "--seed", "--out", "--threads"] {
             assert!(USAGE.contains(flag), "USAGE missing {flag}");
         }
     }

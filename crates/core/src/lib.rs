@@ -90,8 +90,8 @@ pub mod exec {
 /// and a degradation ladder: under overload, deadline pressure, or
 /// injected faults it serves a coarser, *more* regularized answer —
 /// never a timeout. Every response is certified. The deterministic
-/// [`ChaosConfig`](serve::ChaosConfig) fault scheduler drives both the
-/// chaos test suite and the `servebench` load generator.
+/// [`ChaosConfig`](serve::ChaosConfig) fault scheduler drives the
+/// chaos test suite.
 pub mod serve {
     pub use acir_serve::{
         Admission, ChaosConfig, CompactionSummary, Engine, EngineConfig, EngineStats, Overloaded,

@@ -248,8 +248,8 @@ impl Permutation {
 }
 
 /// CSR bandwidth statistics: the distribution of `|u − v|` over stored
-/// arcs. Locality-improving orderings shrink these; the perfsuite
-/// records them next to the timings so the mechanism is visible.
+/// arcs. Locality-improving orderings shrink these (pinned for RCM
+/// by this module's tests).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthStats {
     /// Largest |u − v| over arcs (0 for edgeless graphs).

@@ -44,10 +44,9 @@ pub struct MergePlan {
 impl MergePlan {
     /// Plan `a`'s entry space into ~`CHUNK_TARGET_NNZ`-entry parts
     /// (at most [`acir_exec::MAX_CHUNKS`]), splitting between rows
-    /// where possible and deferring boundary rows otherwise. Public for
-    /// the perfsuite and tests; library callers go through
-    /// [`CsrMatrix::matvec`], which builds and caches lazily.
-    pub fn build(a: &CsrMatrix) -> Self {
+    /// where possible and deferring boundary rows otherwise. Reached
+    /// through [`CsrMatrix::matvec`], which builds and caches lazily.
+    pub(crate) fn build(a: &CsrMatrix) -> Self {
         let (row_ptr, _, _) = a.raw_parts();
         let nrows = a.nrows();
         assert!(nrows < u32::MAX as usize, "merge plan: too many rows");
@@ -104,16 +103,6 @@ impl MergePlan {
             lens,
             boundary_rows,
         }
-    }
-
-    /// Parallel work units in the plan (tests/bench introspection).
-    pub fn n_parts(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Rows deferred to the sequential fixup pass.
-    pub fn n_boundary_rows(&self) -> usize {
-        self.boundary_rows.len()
     }
 }
 

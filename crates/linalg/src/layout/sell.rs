@@ -75,10 +75,9 @@ pub struct SellCSigma {
 impl SellCSigma {
     /// Repack `a`. Cost is one counting sort per σ-window plus one
     /// sweep over the entries — amortized by the cache in
-    /// [`CsrMatrix`] over every subsequent product. Public for the
-    /// perfsuite and tests; library callers go through
+    /// [`CsrMatrix`] over every subsequent product. Reached through
     /// [`CsrMatrix::matvec`], which builds and caches lazily.
-    pub fn build(a: &CsrMatrix) -> Self {
+    pub(crate) fn build(a: &CsrMatrix) -> Self {
         let (row_ptr, col_idx, values) = a.raw_parts();
         let nrows = a.nrows();
         assert!(nrows < u32::MAX as usize, "SELL-C-σ: too many rows");
@@ -166,14 +165,8 @@ impl SellCSigma {
         }
     }
 
-    /// Padded stored entries (incl. padding lanes) vs. `nnz` — the
-    /// storage overhead of the layout, reported by the perfsuite.
-    pub fn padded_nnz(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Number of C-row slices.
-    pub fn n_slices(&self) -> usize {
+    fn n_slices(&self) -> usize {
         self.slice_ptr.len().saturating_sub(1)
     }
 

@@ -30,9 +30,7 @@
 //! ```
 //!
 //! Counters are process-global: measure on a single thread (or with
-//! `--test-threads=1`) when asserting exact counts. [`record_into`]
-//! mirrors the counters into an [`acir_obs::MetricsRegistry`] so
-//! perfsuite artifacts carry them.
+//! `--test-threads=1`) when asserting exact counts.
 //!
 //! [`acir_runtime::workspace`]: ../acir_runtime/workspace/index.html
 
@@ -42,7 +40,6 @@
 // is pure forwarding to `std::alloc::System` plus relaxed counter
 // bumps — no pointer arithmetic of its own.
 
-use acir_obs::MetricsRegistry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -137,17 +134,6 @@ pub fn is_installed() -> bool {
     INSTALLED.load(Relaxed) != 0
 }
 
-/// Mirror an [`AllocSnapshot`] (typically a delta) into a
-/// [`MetricsRegistry`] under `mem.*` counters, so perfsuite artifacts
-/// and traces can carry allocation measurements alongside the solver
-/// metrics.
-pub fn record_into(reg: &mut MetricsRegistry, prefix: &str, snap: &AllocSnapshot) {
-    reg.set(&format!("{prefix}.alloc_calls"), snap.allocs);
-    reg.set(&format!("{prefix}.alloc_bytes"), snap.bytes);
-    reg.set(&format!("{prefix}.dealloc_calls"), snap.deallocs);
-    reg.set(&format!("{prefix}.realloc_calls"), snap.reallocs);
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -188,21 +174,5 @@ mod tests {
         let s = snapshot();
         assert_eq!(s.allocs, 0);
         assert_eq!(s.heap_events(), 0);
-    }
-
-    #[test]
-    fn record_into_sets_counters() {
-        let mut reg = MetricsRegistry::new();
-        let s = AllocSnapshot {
-            allocs: 3,
-            bytes: 42,
-            deallocs: 1,
-            reallocs: 2,
-        };
-        record_into(&mut reg, "mem", &s);
-        assert_eq!(reg.counter("mem.alloc_calls"), 3);
-        assert_eq!(reg.counter("mem.alloc_bytes"), 42);
-        assert_eq!(reg.counter("mem.dealloc_calls"), 1);
-        assert_eq!(reg.counter("mem.realloc_calls"), 2);
     }
 }

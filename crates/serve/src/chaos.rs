@@ -80,19 +80,6 @@ fn unit(seed: u64, id: u64, attempt: u64, salt: u64) -> f64 {
     ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Deterministic open-loop inter-arrival gaps (exponential with the
-/// given mean, in microseconds) for load generation: arrivals do not
-/// wait for responses, which is what makes overload and admission
-/// control observable.
-pub fn open_loop_gaps_us(seed: u64, n: usize, mean_us: u64) -> Vec<u64> {
-    (0..n)
-        .map(|i| {
-            let u = unit(seed, i as u64, 0, 0x61727269).max(1e-12);
-            (-(u.ln()) * mean_us as f64).round().min(1e12) as u64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,13 +122,5 @@ mod tests {
             ..ChaosConfig::default()
         };
         assert!((0..50).all(|e| rated.fails_repair(e)));
-    }
-
-    #[test]
-    fn open_loop_gaps_reproduce_and_average_out() {
-        let a = open_loop_gaps_us(9, 1000, 500);
-        assert_eq!(a, open_loop_gaps_us(9, 1000, 500));
-        let mean = a.iter().sum::<u64>() as f64 / a.len() as f64;
-        assert!((250.0..1000.0).contains(&mean), "mean gap {mean}");
     }
 }

@@ -71,8 +71,8 @@
 //!   revalidated-or-repaired and re-keyed to the new epoch with
 //!   re-measured certificates, and anything unrepairable is dropped.
 //!   For single-edge deltas this costs a small constant factor of the
-//!   perturbation instead of a full recompute (gated ≥10× cheaper in
-//!   `BENCH_dynamic.json`).
+//!   perturbation instead of a full recompute (gated ≥10× fewer
+//!   pushes in `tests/dynamic_equivalence.rs`).
 //! * **Snapshot-pinned reads** — the engine owns its graph through an
 //!   [`acir_graph::snapshot::SnapshotStore`]: every mutation builds a
 //!   new immutable [`acir_graph::snapshot::GraphSnapshot`] aside and
@@ -88,8 +88,8 @@
 //!   [`acir_graph::Permutation`] — zero fresh pushes for sketches,
 //!   fresh measured certificates for answers — rather than rebuilt.
 //!
-//! [`chaos`] holds the deterministic fault scheduler the chaos harness
-//! and the `servebench` load generator share.
+//! [`chaos`] holds the deterministic fault scheduler the chaos suite
+//! drives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

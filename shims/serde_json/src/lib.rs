@@ -3,13 +3,14 @@
 //! and compact / pretty serializers.
 //!
 //! This is not a serde integration — there is no derive support and no
-//! `Serialize`/`Deserialize` bridging. Binaries that emit machine-read
-//! artifacts (the perfsuite's `BENCH_parallel.json`) build a [`Value`]
-//! by hand, write it with [`to_string_pretty`], and re-validate the
-//! bytes with [`from_str`]. The parser accepts exactly RFC 8259 JSON
-//! minus two conveniences: numbers are stored as `f64` (integers are
-//! exact up to 2^53, far beyond any counter we emit) and strings only
-//! unescape the short escapes plus `\uXXXX` basic-plane sequences.
+//! `Serialize`/`Deserialize` bridging. Code that emits machine-read
+//! artifacts (golden traces, metrics, the benchmark's report) builds a
+//! [`Value`] by hand, writes it with [`to_string_pretty`], and
+//! re-validates the bytes with [`from_str`]. The parser accepts exactly
+//! RFC 8259 JSON minus two conveniences: numbers are stored as `f64`
+//! (integers are exact up to 2^53, far beyond any counter we emit) and
+//! strings only unescape the short escapes plus `\uXXXX` basic-plane
+//! sequences.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

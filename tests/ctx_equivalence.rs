@@ -62,9 +62,13 @@ fn converged<T>(out: SolverOutcome<T>, what: &str) -> T {
 /// and a second test racing on the process-global variable would
 /// corrupt exactly what this suite checks.
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var_os(THREADS_ENV);
     std::env::set_var(THREADS_ENV, n.to_string());
     let out = f();
-    std::env::remove_var(THREADS_ENV);
+    match before {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
     out
 }
 

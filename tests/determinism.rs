@@ -98,16 +98,20 @@ fn ncp_pipelines_are_deterministic_across_thread_counts() {
     assert_eq!(key(&a), key(&c));
 }
 
-/// Run `f` with the `ACIR_THREADS` override set to `n`, then clear it.
+/// Run `f` with the `ACIR_THREADS` override set to `n`, then restore it.
 ///
 /// Every env-flipping assertion lives in the single test below — tests
 /// in one binary run concurrently, and a second test racing on the same
 /// process-global variable would make thread counts nondeterministic in
 /// exactly the suite that checks determinism.
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var_os(THREADS_ENV);
     std::env::set_var(THREADS_ENV, n.to_string());
     let out = f();
-    std::env::remove_var(THREADS_ENV);
+    match before {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
     out
 }
 
@@ -159,7 +163,7 @@ fn parallel_kernels_bit_identical_across_env_thread_counts() {
         assert_eq!(ra.vector, rb.vector);
     }
 
-    // The quick NCP sweep (the perfsuite's workload): same envelope.
+    // A quick NCP sweep: same envelope.
     let opts = NcpOptions {
         min_size: 2,
         max_size: 120,

@@ -19,13 +19,16 @@
 //! * an op stream that nets out to nothing returns the prior state bit
 //!   for bit, with zero pushes.
 //!
+//! A deterministic work gate pins why repair exists: on single-edge
+//! deltas it does at least 10× less push work than rebuilding.
+//!
 //! A deterministic engine-level companion drives a delta stream
 //! through `Engine::update_graph_delta` and checks that every cached
 //! answer served after repair carries a measured
 //! `Certificate::ResidualMass` bound ≤ ε and tracks a from-scratch
 //! push on the mutated graph.
 
-use acir_graph::gen::random::{barabasi_albert, forest_fire};
+use acir_graph::gen::random::{barabasi_albert, forest_fire, rmat};
 use acir_graph::traversal::largest_component;
 use acir_graph::{DeltaGraph, EdgeOp, Graph, NodeId};
 use acir_local::{
@@ -117,9 +120,13 @@ fn dense(n: usize, v: &[(NodeId, f64)]) -> Vec<f64> {
 }
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var_os(THREADS_ENV);
     std::env::set_var(THREADS_ENV, n.to_string());
     let out = f();
-    std::env::remove_var(THREADS_ENV);
+    match before {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
     out
 }
 
@@ -249,6 +256,72 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The point of repair (DESIGN.md §14): a single-edge delta costs what
+/// it changed, not what exists. On two 3–4k-node power-law graphs, 64
+/// hub sketches and 8 cached answers are carried across 4 single-edge
+/// deltas; repairing them must take at least 10× fewer pushes than
+/// rebuilding them. Push counts are deterministic at any thread count.
+#[test]
+fn repair_does_an_order_of_magnitude_less_push_work_than_rebuild() {
+    let (alpha, epsilon) = (0.05, 1e-5);
+    let eps_sketch = epsilon / 10.0;
+    let (hubs, queries, deltas) = (64, 8, 4);
+
+    let mut rng = StdRng::seed_from_u64(0xAC1D ^ 0xd17a);
+    let ff = largest_component(&forest_fire(&mut rng, 3_000, 0.37).unwrap()).0;
+    let rm = largest_component(&rmat(&mut rng, 12, 8, (0.57, 0.19, 0.19, 0.05)).unwrap()).0;
+    for (name, mut g) in [("forest_fire", ff), ("rmat", rm)] {
+        let n = g.n();
+        let seeds: Vec<NodeId> = (0..queries)
+            .map(|i| ((i * n) / queries) as NodeId)
+            .collect();
+        let mut set = build_hub_sketches(&g, hubs, alpha, eps_sketch).unwrap();
+        let mut answers: Vec<_> = seeds
+            .iter()
+            .map(|&s| ppr_push(&g, &[s], alpha, epsilon).unwrap())
+            .map(|r| (r.vector, r.residuals))
+            .collect();
+
+        let (mut repair, mut rebuild) = (0usize, 0usize);
+        for d in 0..deltas {
+            let u = ((d * 7919 + 13) % n) as NodeId;
+            let v = ((d * 104_729 + 2) % n) as NodeId;
+            let mut dg = DeltaGraph::new(&g);
+            dg.insert_edge(u, v, 1.0 + (d % 3) as f64 * 0.5).unwrap();
+            let delta = dg.net_delta();
+            let (g_new, _relabel) = dg.compact().unwrap();
+
+            let rep = repair_hub_sketches(&g_new, &set, &delta).unwrap();
+            repair += rep.pushes;
+            rebuild += build_hub_sketches(&g_new, hubs, alpha, eps_sketch)
+                .unwrap()
+                .build_pushes();
+            set = rep.set;
+
+            for (seed, (est, res)) in seeds.iter().zip(answers.iter_mut()) {
+                let req = RepairRequest {
+                    seeds: std::slice::from_ref(seed),
+                    estimate: est,
+                    residual: res,
+                    delta: &delta,
+                    alpha,
+                    epsilon,
+                    mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
+                };
+                let rr = ppr_repair(&g_new, &req).unwrap();
+                repair += rr.pushes;
+                rebuild += ppr_push(&g_new, &[*seed], alpha, epsilon).unwrap().pushes;
+                (*est, *res) = (rr.vector, rr.residuals);
+            }
+            g = g_new;
+        }
+        assert!(
+            rebuild >= 10 * repair.max(1),
+            "{name}: repair {repair} pushes vs rebuild {rebuild} — under 10× less work"
+        );
     }
 }
 

@@ -204,11 +204,15 @@ fn degenerate_shapes_are_bitwise_identical() {
     }
 }
 
-/// Run `f` with `ACIR_THREADS` set to `n`, then clear it.
+/// Run `f` with `ACIR_THREADS` set to `n`, then restore what it was.
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var_os(acir_exec::THREADS_ENV);
     std::env::set_var(acir_exec::THREADS_ENV, n.to_string());
     let out = f();
-    std::env::remove_var(acir_exec::THREADS_ENV);
+    match before {
+        Some(v) => std::env::set_var(acir_exec::THREADS_ENV, v),
+        None => std::env::remove_var(acir_exec::THREADS_ENV),
+    }
     out
 }
 

@@ -87,9 +87,13 @@ fn dense(n: usize, v: &[(NodeId, f64)]) -> Vec<f64> {
 }
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var_os(THREADS_ENV);
     std::env::set_var(THREADS_ENV, n.to_string());
     let out = f();
-    std::env::remove_var(THREADS_ENV);
+    match before {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
     out
 }
 
