@@ -94,8 +94,9 @@ pub mod exec {
 /// chaos test suite.
 pub mod serve {
     pub use acir_serve::{
-        Admission, ChaosConfig, CompactionSummary, Engine, EngineConfig, EngineStats, Overloaded,
-        PublishPoint, Query, QueryOptions, RejectReason, Response, ResponseKind, SweepCut, WriteOp,
+        Admission, ChaosConfig, CompactionSummary, DeltaSummary, Engine, EngineConfig, EngineStats,
+        Overloaded, PublishPoint, Query, QueryOptions, RejectReason, Response, ResponseKind,
+        SweepCut, WriteOp,
     };
 }
 

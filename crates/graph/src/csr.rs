@@ -13,6 +13,14 @@ use crate::{GraphError, Result};
 /// MMDS graphs are large and sparse; memory layout matters).
 pub type NodeId = u32;
 
+/// The iterator [`Graph::neighbors`] returns: one CSR row as its two
+/// slices walked in step. Named so a caller can hold it in a struct
+/// ([`crate::delta::MergedNeighbors`]) without boxing it.
+pub type RowIter<'a> = std::iter::Zip<
+    std::iter::Copied<std::slice::Iter<'a, NodeId>>,
+    std::iter::Copied<std::slice::Iter<'a, f64>>,
+>;
+
 /// An immutable undirected weighted graph in CSR form.
 ///
 /// Invariants (established by [`Graph::from_edges`], checked by
@@ -93,6 +101,77 @@ impl Graph {
         };
         debug_assert!(g.validate().is_ok(), "{:?}", g.validate());
         Ok(g)
+    }
+
+    /// A copy of `self` with the rows named in `rows` replaced — the
+    /// constructor behind [`crate::DeltaGraph::compact`]. `rows` yields
+    /// `(node, merged row)` in strictly ascending node order, each row
+    /// sorted by target; `extra_arcs` bounds how many arcs the
+    /// replacements add over the rows they replace (a capacity hint, so
+    /// the arrays are allocated once).
+    ///
+    /// Untouched row ranges are block-copied (`targets`, `weights`,
+    /// rebased `offsets`) and keep their cached degree; a replaced
+    /// row's degree is its weights summed in ascending-target order and
+    /// the volume is the degrees summed in node order — the two
+    /// expressions [`Graph::from_edges`] uses, so wherever the base's
+    /// cached degrees are themselves row sums the result is
+    /// bit-identical to rebuilding from the merged edge list, at
+    /// `O(arcs)` memcpy instead of an `O(arcs·log arcs)` sort. The
+    /// caller guarantees what `from_edges` would have checked: targets
+    /// in range, weights positive and finite, arcs symmetric.
+    pub(crate) fn splice_rows<I>(
+        &self,
+        rows: impl IntoIterator<Item = (NodeId, I)>,
+        extra_arcs: usize,
+    ) -> Self
+    where
+        I: Iterator<Item = (NodeId, f64)>,
+    {
+        let n = self.n();
+        let arcs = self.targets.len() + extra_arcs;
+        let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut targets: Vec<NodeId> = Vec::with_capacity(arcs);
+        let mut weights: Vec<f64> = Vec::with_capacity(arcs);
+        let mut degrees = self.degrees.clone();
+        // Copy base rows `from..to` verbatim, rebasing their offsets.
+        let copy_rows = |from: usize,
+                         to: usize,
+                         offsets: &mut Vec<usize>,
+                         targets: &mut Vec<NodeId>,
+                         weights: &mut Vec<f64>| {
+            let (lo, hi) = (self.offsets[from], self.offsets[to]);
+            let start = targets.len();
+            offsets.extend(self.offsets[from..to].iter().map(|&o| o - lo + start));
+            targets.extend_from_slice(&self.targets[lo..hi]);
+            weights.extend_from_slice(&self.weights[lo..hi]);
+        };
+        let mut next = 0usize;
+        for (u, row) in rows {
+            let u = u as usize;
+            debug_assert!(next <= u && u < n, "rows must ascend within 0..n");
+            copy_rows(next, u, &mut offsets, &mut targets, &mut weights);
+            let start = targets.len();
+            offsets.push(start);
+            for (v, w) in row {
+                targets.push(v);
+                weights.push(w);
+            }
+            degrees[u] = weights[start..].iter().sum();
+            next = u + 1;
+        }
+        copy_rows(next, n, &mut offsets, &mut targets, &mut weights);
+        offsets.push(targets.len());
+        let total_volume = degrees.iter().sum();
+        let g = Self {
+            offsets,
+            targets,
+            weights,
+            degrees,
+            total_volume,
+        };
+        debug_assert!(g.validate().is_ok(), "{:?}", g.validate());
+        g
     }
 
     /// Build an unweighted graph (all weights 1.0) from node pairs.
@@ -200,7 +279,7 @@ impl Graph {
 
     /// Iterate over `(neighbor, weight)` pairs of `u`, sorted by neighbor.
     #[inline]
-    pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+    pub fn neighbors(&self, u: NodeId) -> RowIter<'_> {
         let r = self.offsets[u as usize]..self.offsets[u as usize + 1];
         self.targets[r.clone()]
             .iter()

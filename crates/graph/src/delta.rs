@@ -7,10 +7,11 @@
 //! **bit-compatible** with the CSR a fresh [`Graph::from_edges`] build
 //! of the edited edge list would produce (same targets, same weights,
 //! same degree sums in the same order). [`DeltaGraph::compact`]
-//! performs exactly that rebuild and emits a [`Permutation`] relabeling
-//! hook — the identity today, the seam through which a future
-//! compaction that drops or renumbers vertices plugs into the existing
-//! `map_back` plumbing.
+//! produces exactly that CSR — by splicing the touched rows into a
+//! block copy of the base, not by re-sorting the edge list — and emits
+//! a [`Permutation`] relabeling hook — the identity today, the seam
+//! through which a future compaction that drops or renumbers vertices
+//! plugs into the existing `map_back` plumbing.
 //!
 //! Snapshot semantics: the overlay is a *writer-side* structure. The
 //! borrowed base and every compacted CSR are immutable snapshots, so a
@@ -23,7 +24,7 @@
 //! push-style residual repair kernel in `acir-local`.
 
 use crate::permute::Permutation;
-use crate::{Graph, GraphError, NodeId, Result};
+use crate::{Graph, GraphError, NodeId, Result, RowIter};
 use std::collections::BTreeMap;
 
 /// One edge mutation to apply to a [`DeltaGraph`].
@@ -221,7 +222,7 @@ impl<'g> DeltaGraph<'g> {
     /// compacted CSR's `neighbors(u)` yields.
     pub fn neighbors(&self, u: NodeId) -> MergedNeighbors<'_> {
         MergedNeighbors {
-            base: Box::new(self.base.neighbors(u)),
+            base: self.base.neighbors(u),
             base_peek: None,
             over: self
                 .overlay
@@ -261,24 +262,35 @@ impl<'g> DeltaGraph<'g> {
         out
     }
 
-    /// Rebuild the CSR from the merged view and emit the relabeling
-    /// hook. The rebuilt graph is exactly `Graph::from_edges` of the
-    /// edited edge list — bit-identical to a fresh build — and the
-    /// permutation is the identity (the overlay neither adds nor drops
-    /// vertices); callers should still route results through it, so a
-    /// future compaction that renumbers vertices is a local change.
+    /// Fold the overlay into a fresh CSR and emit the relabeling hook.
+    /// Rows the overlay never touched are block-copied from the base;
+    /// only the touched rows are re-merged (`Graph::splice_rows`), so
+    /// an 8-op delta on a 2.4M-arc graph costs a memcpy plus ≤ 16 short
+    /// merges instead of re-sorting every arc, and an empty overlay is
+    /// a plain copy. The result is the merged view exactly — same rows,
+    /// degrees and volume, bit for bit — and is bit-identical to
+    /// `Graph::from_edges` of the edited edge list whenever the base's
+    /// cached degrees are ascending-target row sums (any `from_edges`
+    /// or compacted graph; a `Graph::permute`d base keeps its copied
+    /// degrees, where a rebuild would re-sum them in the new order).
+    /// Nothing `from_edges` validates is skipped: nodes and weights are
+    /// checked when an op is applied, and both arcs of an edge are
+    /// always overlaid together. The permutation is the identity (the
+    /// overlay neither adds nor drops vertices); callers should still
+    /// route results through it, so a future compaction that renumbers
+    /// vertices is a local change.
     pub fn compact(&self) -> Result<(Graph, Permutation)> {
-        let n = self.n();
-        let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
-        for u in 0..n as NodeId {
-            for (v, w) in self.neighbors(u) {
-                if v >= u {
-                    edges.push((u, v, w));
-                }
-            }
+        let identity = Permutation::identity(self.n());
+        if self.overlay.is_empty() {
+            return Ok((self.base.clone(), identity));
         }
-        let g = Graph::from_edges(n, edges)?;
-        Ok((g, Permutation::identity(n)))
+        // Each overlay entry adds at most one arc to its row.
+        let extra_arcs = self.overlay.values().map(Vec::len).sum();
+        let g = self.base.splice_rows(
+            self.overlay.keys().map(|&u| (u, self.neighbors(u))),
+            extra_arcs,
+        );
+        Ok((g, identity))
     }
 
     fn check_node(&self, u: NodeId) -> Result<()> {
@@ -323,7 +335,7 @@ impl<'g> DeltaGraph<'g> {
 /// both sorted by target. Overlay entries override (or tombstone) base
 /// arcs with the same target.
 pub struct MergedNeighbors<'a> {
-    base: Box<dyn Iterator<Item = (NodeId, f64)> + 'a>,
+    base: RowIter<'a>,
     base_peek: Option<(NodeId, f64)>,
     over: std::slice::Iter<'a, (NodeId, Option<f64>)>,
     over_peek: Option<(NodeId, Option<f64>)>,
@@ -491,6 +503,87 @@ mod tests {
         let (compacted, perm) = d.compact().unwrap();
         assert!(perm.is_identity());
         assert_bitwise_same(&compacted, &fresh);
+    }
+
+    /// The independent reference `compact` is held to: a fresh
+    /// `from_edges` sort-and-merge of the overlay's merged edge list.
+    fn rebuilt(d: &DeltaGraph<'_>) -> Graph {
+        let edges: Vec<(NodeId, NodeId, f64)> = (0..d.n() as NodeId)
+            .flat_map(|u| {
+                d.neighbors(u)
+                    .filter(move |&(v, _)| v >= u)
+                    .map(move |(v, w)| (u, v, w))
+            })
+            .collect();
+        Graph::from_edges(d.n(), edges).unwrap()
+    }
+
+    #[test]
+    fn splice_matches_a_rebuild_at_every_row_boundary() {
+        let g = barbell(4, 2).unwrap(); // 10 nodes, weights 1.0
+        let last = g.n() as NodeId - 1;
+        type Edit = fn(&mut DeltaGraph<'_>, NodeId);
+        let cases: [(&str, Edit); 6] = [
+            ("empty overlay", |_, _| {}),
+            ("first and last row", |d, last| {
+                d.insert_edge(0, last, 0.75).unwrap();
+            }),
+            ("row emptied by deletes", |d, last| {
+                let nbrs: Vec<NodeId> = d.neighbors(last).map(|(v, _)| v).collect();
+                for v in nbrs {
+                    d.delete_edge(last, v).unwrap();
+                }
+            }),
+            ("self-loop", |d, _| {
+                d.insert_edge(4, 4, 1.5).unwrap();
+            }),
+            ("insert that grows the last row", |d, last| {
+                d.insert_edge(last, 2, 0.3).unwrap();
+                d.insert_edge(last, last, 0.1).unwrap();
+            }),
+            ("adjacent touched rows, one netting out", |d, _| {
+                d.insert_edge(4, 5, 2.0).unwrap();
+                d.insert_edge(4, 5, 1.0).unwrap(); // back to the base weight
+                d.delete_edge(5, 6).unwrap();
+            }),
+        ];
+        for (name, edit) in cases {
+            let mut d = DeltaGraph::new(&g);
+            edit(&mut d, last);
+            let (c, p) = d.compact().unwrap();
+            assert!(p.is_identity(), "{name}");
+            c.validate().unwrap();
+            assert_bitwise_same(&c, &rebuilt(&d));
+            for u in 0..g.n() as NodeId {
+                assert_eq!(
+                    bits(c.neighbors(u)),
+                    bits(d.neighbors(u)),
+                    "{name}: row {u}"
+                );
+                assert_eq!(c.degree(u).to_bits(), d.degree(u).to_bits(), "{name}");
+            }
+            assert_eq!(c.total_volume().to_bits(), d.total_volume().to_bits());
+        }
+    }
+
+    #[test]
+    fn splice_stays_bitwise_over_a_chain_of_weighted_compactions() {
+        // Each compaction is the next one's base, so a row that was
+        // spliced (not rebuilt) must carry a degree a rebuild agrees
+        // with, however uneven the weights.
+        let mut g = barbell(5, 1).unwrap();
+        let n = g.n() as NodeId;
+        for step in 0..6u32 {
+            let mut d = DeltaGraph::new(&g);
+            let (u, v) = ((step * 3) % n, (step * 5 + 1) % n);
+            d.insert_edge(u, v, 0.1 + 0.7 * f64::from(step)).unwrap();
+            if step % 2 == 1 {
+                d.delete_edge(u, (u + 1) % n).unwrap();
+            }
+            let (c, _) = d.compact().unwrap();
+            assert_bitwise_same(&c, &rebuilt(&d));
+            g = c;
+        }
     }
 
     #[test]

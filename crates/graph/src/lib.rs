@@ -44,7 +44,7 @@ pub mod stats;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
-pub use csr::{Graph, NodeId};
+pub use csr::{Graph, NodeId, RowIter};
 pub use delta::{DeltaGraph, EdgeDelta, EdgeOp};
 pub use permute::{bandwidth_stats, BandwidthStats, Permutation};
 pub use result::NodeValued;

@@ -45,8 +45,8 @@ pub use push::{
     ppr_push_ws, PushResult, PushWorkspace,
 };
 pub use repair::{
-    ppr_repair, ppr_repair_ctx, ppr_repair_relabeled, RepairRequest, RepairResult,
-    DEFAULT_REPAIR_MASS_THRESHOLD,
+    delta_endpoints, delta_leaves_undisturbed, ppr_repair, ppr_repair_ctx, ppr_repair_relabeled,
+    RepairRequest, RepairResult, DEFAULT_REPAIR_MASS_THRESHOLD,
 };
 pub use sketch::{
     build_hub_sketches, build_hub_sketches_ctx, build_sketches_for_hubs, ppr_push_spliced,

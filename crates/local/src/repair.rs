@@ -169,6 +169,73 @@ fn validate_repair_args(g: &Graph, req: &RepairRequest<'_>) -> Result<()> {
     Ok(())
 }
 
+/// The distinct endpoints of `delta`, ascending — the only columns of
+/// the walk matrix a delta changes, and the only nodes whose degree it
+/// moves.
+pub fn delta_endpoints(delta: &[EdgeDelta]) -> Vec<NodeId> {
+    let mut endpoints: Vec<NodeId> = delta.iter().flat_map(|d| [d.u, d.v]).collect();
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    endpoints
+}
+
+/// Can a delta with these `endpoints` change this prior at all? The
+/// exact filter in front of [`ppr_repair`]: `None` means the repair
+/// would reflow something (run it); `Some(bound)` means the prior is
+/// **undisturbed** — `ppr_repair` on `g_new` would return `estimate`
+/// and `residual` bit for bit with `pushes == 0` — so the caller keeps
+/// the prior without paying for the call.
+///
+/// Undisturbed iff, for every endpoint `c` (degree `d'_c` on `g_new`):
+///
+/// 1. `p_c == 0`. The correction pass of the repair loop only visits
+///    columns with `p_c ≠ 0`, so it adds nothing anywhere and the
+///    injected perturbation is exactly 0: `r` is unchanged.
+/// 2. not (`d'_c > 0` and `|r_c| ≥ ε·d'_c`). With `r` unchanged the
+///    re-arm pass can only queue a node whose *degree* moved — an
+///    endpoint; every other candidate keeps both `r` and `d`, and a
+///    converged prior already has `|r| < ε·d` there. An empty queue
+///    means zero pushes, and the harvest re-emits the loaded state.
+///
+/// `bound` is `max_c |r_c|/d'_c` over the endpoints inside the residual
+/// support (0.0 if there are none): the only terms of the measured
+/// `max_u |r_u|/d_u` whose denominator moved. The prior's own bound
+/// covers the rest, so `max(prior bound, bound)` is a true
+/// `per_degree_bound` on `g_new`, and `bound < ε` by (2) — a degree
+/// that dropped under a parked residual is the case the raise covers.
+///
+/// Precondition: the prior is a **converged** state (`|r_u| < ε·d_u`
+/// on the graph it was computed on) with no explicit zeros stored, as
+/// [`crate::push`] and [`ppr_repair`] emit; `estimate` and `residual`
+/// are sorted by node and `endpoints` come from [`delta_endpoints`].
+/// It is a filter, not a second recurrence: `O(|endpoints|·log
+/// support)`, no push, no allocation.
+pub fn delta_leaves_undisturbed(
+    g_new: &Graph,
+    estimate: &[(NodeId, f64)],
+    residual: &[(NodeId, f64)],
+    endpoints: &[NodeId],
+    epsilon: f64,
+) -> Option<f64> {
+    let mut bound = 0.0f64;
+    for &c in endpoints {
+        let on_estimate = estimate.binary_search_by_key(&c, |e| e.0);
+        if on_estimate.is_ok_and(|k| estimate[k].1 != 0.0) {
+            return None;
+        }
+        if let Ok(k) = residual.binary_search_by_key(&c, |e| e.0) {
+            let (rc, dc) = (residual[k].1.abs(), g_new.degree(c));
+            if dc > 0.0 {
+                if rc >= epsilon * dc {
+                    return None;
+                }
+                bound = bound.max(rc / dc);
+            }
+        }
+    }
+    Some(bound)
+}
+
 /// Changed arcs at one endpoint: `(target, old_weight, new_weight)`
 /// sorted by target (0.0 = absent).
 type ArcChanges = Vec<(NodeId, f64, f64)>;
@@ -899,6 +966,83 @@ mod tests {
             .max(eps);
         assert!(rr.per_degree_bound > eps, "the ε floor must not decide");
         assert_eq!(rr.per_degree_bound.to_bits(), dense_scan.to_bits());
+    }
+
+    /// An endpoint that holds parked residual but no estimate mass
+    /// loses an edge: the verdict turns on whether `|r_c|` still fits
+    /// under `ε·d'_c`, and either way it is what the kernel then does.
+    #[test]
+    fn residual_only_endpoint_is_kept_until_its_degree_drops_under_it() {
+        let (alpha, eps) = (0.1, 0.01);
+        // 0 - 1 - 2 - 3
+        //         | /
+        //         4        c = 2 has degree 3; deleting {2, 4} makes it 2.
+        let g_old = Graph::from_pairs(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)]).unwrap();
+        let mut dg = DeltaGraph::new(&g_old);
+        dg.delete_edge(2, 4).unwrap();
+        let delta = dg.net_delta();
+        let (g_new, _) = dg.compact().unwrap();
+        let endpoints = delta_endpoints(&delta);
+        assert_eq!(endpoints, vec![2, 4]);
+
+        let estimate = [(0, 0.6), (1, 0.3)];
+        let measured = |g: &Graph, r: &[(NodeId, f64)]| {
+            r.iter()
+                .map(|&(u, x)| x.abs() / g.degree(u))
+                .fold(0.0f64, f64::max)
+        };
+        let repair = |residual: &[(NodeId, f64)]| {
+            ppr_repair(
+                &g_new,
+                &RepairRequest {
+                    seeds: &[0],
+                    estimate: &estimate,
+                    residual,
+                    delta: &delta,
+                    alpha,
+                    epsilon: eps,
+                    mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
+                },
+            )
+            .unwrap()
+        };
+
+        // r_c = 0.015: under ε·3 before and under ε·2 after — kept, and
+        // the bound is raised from 0.015/3 to 0.015/2.
+        let stays = [(1, 0.004), (2, 0.015)];
+        assert!(measured(&g_old, &stays) < eps);
+        let raised = delta_leaves_undisturbed(&g_new, &estimate, &stays, &endpoints, eps)
+            .expect("no estimate on an endpoint, residual still parked");
+        assert_eq!(raised, 0.015 / 2.0);
+        assert!(raised > measured(&g_old, &stays) && raised < eps);
+        let rr = repair(&stays);
+        assert_eq!((rr.pushes, rr.perturbation), (0, 0.0));
+        assert_eq!(rr.vector, estimate);
+        assert_eq!(rr.residuals, stays);
+        assert_eq!(rr.per_degree_bound, raised);
+
+        // r_c = 0.025: under ε·3 before, over ε·2 after — disturbed,
+        // and the kernel does push it back under.
+        let crosses = [(1, 0.004), (2, 0.025)];
+        assert!(measured(&g_old, &crosses) < eps);
+        assert_eq!(
+            delta_leaves_undisturbed(&g_new, &estimate, &crosses, &endpoints, eps),
+            None
+        );
+        let rr = repair(&crosses);
+        assert!(rr.pushes > 0 && rr.per_degree_bound < eps);
+
+        // Estimate mass on an endpoint disturbs whatever the residual.
+        let on_endpoint = [(0, 0.6), (2, 0.3)];
+        assert_eq!(
+            delta_leaves_undisturbed(&g_new, &on_endpoint, &[], &endpoints, eps),
+            None
+        );
+        // And no endpoints at all disturb nothing.
+        assert_eq!(
+            delta_leaves_undisturbed(&g_new, &on_endpoint, &crosses, &[], eps),
+            Some(0.0)
+        );
     }
 
     #[test]

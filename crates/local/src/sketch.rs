@@ -32,7 +32,10 @@
 //! is bit-identical to [`crate::push::ppr_push`].
 
 use crate::push::{ppr_push_ctx, push_core, validate_push_args, PushExit, PushResult, PUSH_POOL};
-use crate::repair::{ppr_repair, RepairRequest, DEFAULT_REPAIR_MASS_THRESHOLD};
+use crate::repair::{
+    delta_endpoints, delta_leaves_undisturbed, ppr_repair, RepairRequest,
+    DEFAULT_REPAIR_MASS_THRESHOLD,
+};
 use crate::{LocalError, Result};
 use acir_graph::delta::EdgeDelta;
 use acir_graph::{Graph, NodeId, NodeValued, Permutation};
@@ -313,11 +316,13 @@ pub struct SketchRepair {
     /// The repaired sketch set — same hubs, same `(α, ε_sketch)`,
     /// every sketch valid on the *new* graph.
     pub set: SketchSet,
-    /// Sketches whose support touched the delta and were incrementally
-    /// repaired.
+    /// Sketches the delta disturbed, incrementally repaired.
     pub repaired: usize,
-    /// Sketches whose estimate and residual were both zero at every
-    /// delta endpoint: carried over verbatim at zero cost.
+    /// Sketches the delta cannot change
+    /// ([`delta_leaves_undisturbed`]: no estimate mass on any endpoint
+    /// and every endpoint's parked residual still under `ε·d'`),
+    /// carried over verbatim without calling the repair kernel — the
+    /// same verdict the serve layer applies to its cached answers.
     pub untouched: usize,
     /// Sketches the repair kernel recomputed from scratch (oversized
     /// perturbation or a degenerate column swap), plus hubs the delta
@@ -333,10 +338,12 @@ pub struct SketchRepair {
 /// Incrementally maintain a hub-sketch set across an edge delta,
 /// instead of rebuilding all K sketches from scratch.
 ///
-/// A sketch can only be invalidated by the delta if its diffusion ever
-/// put estimate or residual mass on a delta endpoint (the changed
-/// columns of the walk matrix); everything else is carried over
-/// verbatim. Touched sketches go through [`ppr_repair`] with the hub as
+/// A sketch can only be invalidated by the delta if its diffusion put
+/// *estimate* mass on a delta endpoint (a changed column of the walk
+/// matrix) or parked a residual there that the endpoint's new degree
+/// no longer covers; [`delta_leaves_undisturbed`] decides exactly that
+/// and everything else is carried over verbatim. Disturbed sketches go
+/// through [`ppr_repair`] with the hub as
 /// seed at the set's own `(α, ε_sketch)`, preserving the per-sketch ACL
 /// guarantee on the new graph. A hub the delta isolates entirely keeps
 /// its slot but becomes an empty sketch — no residual can ever park on
@@ -357,21 +364,13 @@ pub fn repair_hub_sketches(
             g.n()
         )));
     }
-    let mut endpoints: Vec<NodeId> = delta.iter().flat_map(|d| [d.u, d.v]).collect();
-    endpoints.sort_unstable();
-    endpoints.dedup();
-
-    let touches = |s: &HubSketch| {
-        endpoints.iter().any(|&c| {
-            s.estimate.binary_search_by_key(&c, |e| e.0).is_ok()
-                || s.residual.binary_search_by_key(&c, |e| e.0).is_ok()
-        })
-    };
+    let endpoints = delta_endpoints(delta);
 
     let idxs: Vec<usize> = (0..set.len()).collect();
     let outcomes = acir_exec::ExecPool::from_env().par_map(&idxs, 1, |&i| {
         let s = &set.sketches[i];
-        if endpoints.is_empty() || !touches(s) {
+        if delta_leaves_undisturbed(g, &s.estimate, &s.residual, &endpoints, set.epsilon).is_some()
+        {
             return Ok::<(HubSketch, u8, usize), LocalError>((s.clone(), 0, 0));
         }
         if g.degree(s.hub) <= 0.0 {

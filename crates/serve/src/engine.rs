@@ -38,12 +38,17 @@
 //! `Stale` — labeled with its epoch in the certificate — never as
 //! `Full` or `Cached`. An *edge delta*
 //! ([`Engine::update_graph_delta`]) publishes a delta snapshot, and
-//! instead of discarding derived state it repairs it: hub sketches
-//! whose residual support touches the delta are reflowed in place
-//! (`repair_hub_sketches`), cached answers are revalidated-or-repaired
-//! by the push-style residual-repair kernel (`ppr_repair`) and re-keyed
-//! to the new epoch, and anything unrepairable is dropped — never
-//! served. A *relabeling compaction* ([`Engine::compact`]) publishes a
+//! instead of discarding derived state it carries it across, paying
+//! only for what the delta disturbed: each hub sketch and each cached
+//! answer is first asked whether the delta can change it at all
+//! (`delta_leaves_undisturbed` — no estimate mass on an endpoint, and
+//! every endpoint's parked residual still under `ε·d′`); the
+//! undisturbed majority is kept as it is, the rest is reflowed by the
+//! push-style residual-repair kernel (`ppr_repair`) and re-certified
+//! measured, and anything unrepairable is dropped — never served. The
+//! answer cache is head-synchronized with an epoch-less key, so no
+//! write re-keys an entry. A *relabeling compaction*
+//! ([`Engine::compact`]) publishes a
 //! renumbered snapshot and routes sketches and cached answers through
 //! the recorded `Permutation` (`ppr_repair_relabeled`,
 //! `relabel_sketch_set`) — repaired, not rebuilt or purged, with fresh
@@ -63,7 +68,8 @@ use acir_graph::snapshot::{compact_ordered, CompactionOrder, GraphSnapshot, Snap
 use acir_graph::{DeltaGraph, EdgeDelta, EdgeOp, Graph, NodeId, Permutation};
 use acir_local::push::{ppr_push_batch_outcomes, ppr_push_ctx, PushResult};
 use acir_local::repair::{
-    ppr_repair, ppr_repair_relabeled, RepairRequest, DEFAULT_REPAIR_MASS_THRESHOLD,
+    delta_endpoints, delta_leaves_undisturbed, ppr_repair, ppr_repair_relabeled, RepairRequest,
+    RepairResult, DEFAULT_REPAIR_MASS_THRESHOLD,
 };
 use acir_local::sketch::{ppr_push_spliced_ctx, SketchSet};
 use acir_local::sweep::sweep_cut_sparse;
@@ -159,9 +165,10 @@ pub struct EngineConfig {
     /// `ε − sketch_epsilon` and the combined answer still satisfies
     /// the `ε·deg` invariant.
     pub sketch_epsilon: f64,
-    /// Answer-cache capacity: exact `(seeds, α, ε, epoch)` repeats are
-    /// served from cache as [`ResponseKind::Cached`] (full quality,
-    /// zero compute). `0` disables the cache. Eviction is FIFO.
+    /// Answer-cache capacity: exact `(seeds, α, ε)` repeats by a
+    /// request pinned to the head snapshot are served from cache as
+    /// [`ResponseKind::Cached`] (full quality, zero compute). `0`
+    /// disables the cache. Eviction is FIFO.
     pub answer_cache_cap: usize,
     /// Per-entry answer-cache time-to-live, measured in *request
     /// count* (submissions seen since the entry was cached), not wall
@@ -490,6 +497,21 @@ impl<K: Clone + Eq + Hash, V> FifoMap<K, V> {
         while self.map.len() > self.cap && self.pop_oldest().is_some() {}
     }
 
+    /// Visit every entry oldest-first with mutable access, removing
+    /// the ones `keep` rejects. Survivors keep their place in line, so
+    /// a pass over the whole store moves no entry and holds no second
+    /// copy of it.
+    fn retain_mut(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
+        let map = &mut self.map;
+        self.order.retain(|key| {
+            let kept = map.get_mut(key).is_some_and(|value| keep(key, value));
+            if !kept {
+                map.remove(key);
+            }
+            kept
+        });
+    }
+
     fn oldest(&self) -> Option<&V> {
         self.order.front().and_then(|k| self.map.get(k))
     }
@@ -530,17 +552,19 @@ fn cache_key(seeds: &[NodeId], alpha: f64) -> CacheKey {
     (s, alpha.to_bits())
 }
 
-/// Exact answer-cache key: sorted deduped seeds, α bits, ε bits, and
-/// the graph epoch the answer was computed in. The epoch component is
-/// the invalidation mechanism — a bumped epoch misses by construction
-/// (and [`Engine::update_graph`] purges old entries besides).
-type AnswerKey = (Vec<NodeId>, u64, u64, u64);
+/// Exact answer-cache key: sorted deduped seeds, α bits, ε bits. It is
+/// **epoch-less** because the cache is head-synchronized: every write
+/// carries every entry to the new head (repair, relabel) or drops it,
+/// and only answers computed against the head enter. The epoch check
+/// therefore sits at the probe — a request hits only when its pinned
+/// epoch is the head's — and no write ever re-keys an entry.
+type AnswerKey = (Vec<NodeId>, u64, u64);
 
-fn answer_key(seeds: &[NodeId], alpha: f64, epsilon: f64, epoch: u64) -> AnswerKey {
+fn answer_key(seeds: &[NodeId], alpha: f64, epsilon: f64) -> AnswerKey {
     let mut s = seeds.to_vec();
     s.sort_unstable();
     s.dedup();
-    (s, alpha.to_bits(), epsilon.to_bits(), epoch)
+    (s, alpha.to_bits(), epsilon.to_bits())
 }
 
 #[derive(Debug, Clone)]
@@ -558,6 +582,39 @@ struct AnswerEntry {
     residuals: Vec<(NodeId, f64)>,
     /// Request-clock stamp at caching time, for TTL expiry.
     born: u64,
+}
+
+impl AnswerEntry {
+    /// No stored residual vector but a certificate with nonzero
+    /// remaining mass: the answer came through a sketch splice, and
+    /// the ACL invariant cannot be re-established from what was kept.
+    fn is_splice_born(&self) -> bool {
+        let certified_remaining = match self.certificate {
+            Certificate::ResidualMass { remaining, .. } => remaining,
+            _ => 1.0,
+        };
+        self.residuals.is_empty() && certified_remaining != 0.0
+    }
+
+    /// Take over a repaired state and re-issue the certificate with
+    /// the **measured** post-repair worst `|r|/d` — tighter than the ε
+    /// the answer was asked for (an all-zero residual measures 0.0;
+    /// report the satisfied ε instead so the bound stays meaningful
+    /// and positive).
+    fn adopt(&mut self, rr: RepairResult, trace: &mut Diagnostics) {
+        let measured = if rr.per_degree_bound > 0.0 {
+            rr.per_degree_bound
+        } else {
+            self.epsilon
+        };
+        self.certificate = Certificate::ResidualMass {
+            remaining: rr.residual_mass,
+            per_degree_bound: measured,
+        };
+        trace.certificate_issued(&self.certificate);
+        self.vector = rr.vector;
+        self.residuals = rr.residuals;
+    }
 }
 
 /// What one [`Engine::update_graph_delta`] call did to the engine's
@@ -579,10 +636,12 @@ pub struct DeltaSummary {
     /// repaired (amortized cadence, injected repair fault, or a repair
     /// error).
     pub sketches_rebuilt: bool,
-    /// Cached answers whose invariant survived the delta untouched
-    /// (zero repair pushes) — re-keyed to the new epoch for free.
+    /// Cached answers whose invariant survived the delta: undisturbed
+    /// (the delta cannot change them — kept in place, vector, residual
+    /// and allocation untouched, without calling the repair kernel) or
+    /// zero-push (the kernel absorbed a correction without reflowing).
     pub answers_revalidated: usize,
-    /// Cached answers reflowed by the repair kernel and re-keyed.
+    /// Cached answers reflowed by the repair kernel.
     pub answers_repaired: usize,
     /// Cached answers dropped as unrepairable (splice-born entries,
     /// degenerate deltas, or repair errors).
@@ -740,7 +799,8 @@ impl Engine {
     /// epoch. Requests already queued keep their pinned snapshot, so
     /// they are never batched (or spliced) with new-epoch requests and
     /// still answer against the graph they were admitted under; the
-    /// answer cache is purged (its keys are epoch-specific anyway) and
+    /// answer cache is purged (nothing relates the old graph to the
+    /// new one, so no entry can be carried across) and
     /// the hub sketches are rebuilt against the new snapshot — reusing
     /// the previous hub *selection* when the unweighted degree
     /// sequence is unchanged (a pure-reweight swap cannot move the
@@ -783,14 +843,18 @@ impl Engine {
     /// overlay into a fresh CSR, bump the epoch, and **repair** the
     /// derived state instead of discarding it.
     ///
-    /// * Hub sketches whose residual support touches a delta endpoint
-    ///   are reflowed by the residual-repair kernel; the rest carry
-    ///   over verbatim. Every `cfg.resketch_after` deltas (and on an
-    ///   injected repair fault, or any repair error) the set is rebuilt
-    ///   from scratch instead.
-    /// * Cached answers are revalidated-or-repaired under the same
-    ///   kernel and re-keyed to the new epoch, each re-issued
-    ///   certificate carrying the *measured* post-repair residual mass.
+    /// * Hub sketches the delta disturbs (estimate mass on an endpoint,
+    ///   or an endpoint whose new degree no longer covers its parked
+    ///   residual) are reflowed by the residual-repair kernel; the rest
+    ///   carry over verbatim. Every `cfg.resketch_after` deltas (and on
+    ///   an injected repair fault, or any repair error) the set is
+    ///   rebuilt from scratch instead.
+    /// * Cached answers are judged by the same predicate, in place:
+    ///   undisturbed entries are kept untouched (certificate bound
+    ///   raised where an endpoint's degree dropped under a parked
+    ///   residual), disturbed ones are repaired under the same kernel,
+    ///   each re-issued certificate carrying the *measured* post-repair
+    ///   residual mass. Keys are epoch-less, so nothing is re-keyed.
     ///   Unrepairable entries (splice-born answers with no stored
     ///   residual, degenerate column swaps) are dropped, never served.
     ///
@@ -900,44 +964,59 @@ impl Engine {
         Ok(summary)
     }
 
-    /// Revalidate-or-repair every answer-cache entry across `delta`,
-    /// re-keying survivors to the current (just-bumped) epoch. Walks
-    /// the cache oldest-first, so the pass is deterministic and
-    /// preserves eviction order.
+    /// Carry the answer cache across `delta`, in place and oldest-first
+    /// (deterministic; eviction order is preserved). A write costs what
+    /// it disturbed: each entry is first asked whether the delta can
+    /// change it at all ([`delta_leaves_undisturbed`] — a few binary
+    /// searches per endpoint). The undisturbed majority keeps its
+    /// vector, residuals and allocation, and its certificate with the
+    /// bound raised to cover an endpoint whose degree dropped under a
+    /// parked residual (still `< ε`, still true on the new graph); no
+    /// certificate event is issued for it. Only disturbed entries reach
+    /// `ppr_repair` and get a freshly measured certificate.
     fn repair_answers(&mut self, delta: &[EdgeDelta], summary: &mut DeltaSummary) {
-        let epoch = self.head.epoch();
-        let mut old = std::mem::replace(&mut self.answers, FifoMap::new(self.cfg.answer_cache_cap));
-        while let Some((key, mut entry)) = old.pop_oldest() {
-            // The cache is kept synchronized with the head: every live
-            // entry's key carries the pre-delta epoch. Anything else is
-            // a stray (should not happen) and cannot be repaired by a
-            // single-step delta — drop it rather than mislabel it.
-            if key.3 + 1 != epoch {
-                summary.answers_dropped += 1;
-                continue;
-            }
+        let Self {
+            answers,
+            head,
+            trace,
+            ..
+        } = self;
+        let g = head.graph();
+        let endpoints = delta_endpoints(delta);
+        answers.retain_mut(|key, entry| {
             // A splice-born answer stores no residual vector but
             // certifies nonzero remaining mass: the invariant cannot be
             // re-established from what we kept. Drop it.
-            let certified_remaining = match entry.certificate {
-                Certificate::ResidualMass { remaining, .. } => remaining,
-                _ => 1.0,
-            };
-            if entry.residuals.is_empty() && certified_remaining != 0.0 {
+            if entry.is_splice_born() {
                 summary.answers_dropped += 1;
-                continue;
+                return false;
             }
-            let alpha = f64::from_bits(key.1);
+            if let Some(endpoint_bound) = delta_leaves_undisturbed(
+                g,
+                &entry.vector,
+                &entry.residuals,
+                &endpoints,
+                entry.epsilon,
+            ) {
+                if let Certificate::ResidualMass {
+                    per_degree_bound, ..
+                } = &mut entry.certificate
+                {
+                    *per_degree_bound = per_degree_bound.max(endpoint_bound);
+                }
+                summary.answers_revalidated += 1;
+                return true;
+            }
             let req = RepairRequest {
                 seeds: &entry.seeds,
                 estimate: &entry.vector,
                 residual: &entry.residuals,
                 delta,
-                alpha,
+                alpha: f64::from_bits(key.1),
                 epsilon: entry.epsilon,
                 mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
             };
-            match ppr_repair(self.head.graph(), &req) {
+            match ppr_repair(g, &req) {
                 Ok(rr) => {
                     if rr.pushes == 0 && rr.repaired {
                         summary.answers_revalidated += 1;
@@ -946,37 +1025,23 @@ impl Engine {
                     }
                     summary.repair_pushes += rr.pushes;
                     summary.repair_work += rr.work;
-                    // The re-issued certificate carries the *measured*
-                    // post-repair worst |r|/d — tighter than the ε the
-                    // answer was asked for (an all-zero residual
-                    // measures 0.0; report the satisfied ε instead so
-                    // the bound stays meaningful and positive).
-                    let measured = if rr.per_degree_bound > 0.0 {
-                        rr.per_degree_bound
-                    } else {
-                        entry.epsilon
-                    };
-                    let certificate = Certificate::ResidualMass {
-                        remaining: rr.residual_mass,
-                        per_degree_bound: measured,
-                    };
-                    self.trace.certificate_issued(&certificate);
-                    entry.vector = rr.vector;
-                    entry.residuals = rr.residuals;
-                    entry.certificate = certificate;
-                    self.answers.insert((key.0, key.1, key.2, epoch), entry);
+                    entry.adopt(rr, trace);
+                    true
                 }
                 Err(e) => {
-                    self.trace
-                        .note(format!("cached answer unrepairable ({e}); dropped"));
+                    trace.note(format!("cached answer unrepairable ({e}); dropped"));
                     summary.answers_dropped += 1;
+                    false
                 }
             }
-        }
+        });
         if summary.answers_revalidated + summary.answers_repaired + summary.answers_dropped > 0 {
             self.trace.note(format!(
-                "answer cache: {} revalidated, {} repaired, {} dropped (epoch {epoch})",
-                summary.answers_revalidated, summary.answers_repaired, summary.answers_dropped
+                "answer cache: {} revalidated, {} repaired, {} dropped (epoch {})",
+                summary.answers_revalidated,
+                summary.answers_repaired,
+                summary.answers_dropped,
+                self.head.epoch()
             ));
         }
     }
@@ -990,15 +1055,15 @@ impl Engine {
     ///   change it, so not a single push is spent;
     /// * cached answers are routed through the permutation by the
     ///   relabel-aware repair kernel (`ppr_repair_relabeled` with an
-    ///   empty delta), re-keyed to the new epoch, and re-issued a
+    ///   empty delta), in place, and re-issued a
     ///   **freshly measured** `ResidualMass` certificate against the
     ///   relabeled graph.
     ///
     /// In-flight requests pinned to the pre-compaction snapshot are
     /// unaffected: their snapshot (and its id space) stays alive until
     /// they respond. A [`CompactionOrder::Preserve`] compaction
-    /// publishes an identity step — everything above degenerates to a
-    /// re-key.
+    /// publishes an identity step — everything above degenerates to
+    /// re-measuring each certificate on an unchanged labeling.
     pub fn compact(&mut self, order: CompactionOrder) -> Result<CompactionSummary, String> {
         let (new_graph, step) = {
             let base = Arc::clone(&self.head);
@@ -1038,74 +1103,54 @@ impl Engine {
         Ok(summary)
     }
 
-    /// Route every answer-cache entry through a compaction `step`:
-    /// payloads are mapped into the new id space, keys re-keyed to the
-    /// new epoch (external seed components are lineage-stable and stay
-    /// put), and repairable entries get a freshly measured certificate
-    /// from the relabel-aware repair kernel. Splice-born entries (no
-    /// stored residual) are mapped verbatim with their original
-    /// certificate — a relabeling preserves degrees, so the old bound
-    /// still holds word for word.
+    /// Route every answer-cache entry through a compaction `step`, in
+    /// place and oldest-first: payloads are mapped into the new id
+    /// space (keys hold external seeds, which are lineage-stable, and
+    /// stay put), and repairable entries get a freshly measured
+    /// certificate from the relabel-aware repair kernel. Splice-born
+    /// entries (no stored residual) are mapped verbatim with their
+    /// original certificate — a relabeling preserves degrees, so the
+    /// old bound still holds word for word.
     fn relabel_answers(&mut self, step: &Permutation, summary: &mut CompactionSummary) {
-        let epoch = self.head.epoch();
-        let mut old = std::mem::replace(&mut self.answers, FifoMap::new(self.cfg.answer_cache_cap));
-        while let Some((key, mut entry)) = old.pop_oldest() {
-            if key.3 + 1 != epoch {
-                summary.answers_dropped += 1;
-                continue;
-            }
-            let certified_remaining = match entry.certificate {
-                Certificate::ResidualMass { remaining, .. } => remaining,
-                _ => 1.0,
-            };
-            if entry.residuals.is_empty() && certified_remaining != 0.0 {
-                // Splice-born: no residual to re-measure from, but the
-                // certified bound survives a pure relabel unchanged.
+        let Self {
+            answers,
+            head,
+            trace,
+            ..
+        } = self;
+        let g = head.graph();
+        answers.retain_mut(|key, entry| {
+            if entry.is_splice_born() {
                 entry.vector = step.map_sparse(&entry.vector);
-                entry.seeds = step.map_nodes(&entry.seeds);
             } else {
-                let alpha = f64::from_bits(key.1);
                 let req = RepairRequest {
                     seeds: &entry.seeds,
                     estimate: &entry.vector,
                     residual: &entry.residuals,
                     delta: &[],
-                    alpha,
+                    alpha: f64::from_bits(key.1),
                     epsilon: entry.epsilon,
                     mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
                 };
-                match ppr_repair_relabeled(self.head.graph(), &req, step) {
-                    Ok(rr) => {
-                        let measured = if rr.per_degree_bound > 0.0 {
-                            rr.per_degree_bound
-                        } else {
-                            entry.epsilon
-                        };
-                        let certificate = Certificate::ResidualMass {
-                            remaining: rr.residual_mass,
-                            per_degree_bound: measured,
-                        };
-                        self.trace.certificate_issued(&certificate);
-                        entry.vector = rr.vector;
-                        entry.residuals = rr.residuals;
-                        entry.certificate = certificate;
-                        entry.seeds = step.map_nodes(&entry.seeds);
-                    }
+                match ppr_repair_relabeled(g, &req, step) {
+                    Ok(rr) => entry.adopt(rr, trace),
                     Err(e) => {
-                        self.trace
-                            .note(format!("cached answer unrelabelable ({e}); dropped"));
+                        trace.note(format!("cached answer unrelabelable ({e}); dropped"));
                         summary.answers_dropped += 1;
-                        continue;
+                        return false;
                     }
                 }
             }
+            entry.seeds = step.map_nodes(&entry.seeds);
             summary.answers_relabeled += 1;
-            self.answers.insert((key.0, key.1, key.2, epoch), entry);
-        }
+            true
+        });
         if summary.answers_relabeled + summary.answers_dropped > 0 {
             self.trace.note(format!(
-                "answer cache: {} relabeled, {} dropped (epoch {epoch})",
-                summary.answers_relabeled, summary.answers_dropped
+                "answer cache: {} relabeled, {} dropped (epoch {})",
+                summary.answers_relabeled,
+                summary.answers_dropped,
+                self.head.epoch()
             ));
         }
     }
@@ -1411,15 +1456,19 @@ impl Engine {
         let mut computes: Vec<(Pending, f64, Budget)> = Vec::new();
         for p in pending.drain(..) {
             self.fire_staged(PublishPoint::BeforeCacheCheck, p.id);
-            // Exact answer-cache hit: same seeds, α, ε, and epoch as an
-            // earlier Full answer — served without compute (and without
-            // consulting the deadline; a cache hit is free). Sits above
-            // the Stale rung: keys are epoch-exact and the cache is
-            // head-synchronized, so the entry's id space is exactly the
-            // pinned snapshot's — a pre-mutation answer can never
+            // Exact answer-cache hit: same seeds, α and ε as an earlier
+            // Full answer, asked by a request pinned to the head —
+            // served without compute (and without consulting the
+            // deadline; a cache hit is free). Sits above the Stale
+            // rung: the cache is head-synchronized and its keys are
+            // epoch-less, so the pinned-epoch check *is* the
+            // consistency protocol — a request pinned before a write
+            // never probes, and a pre-mutation answer can never
             // surface here.
-            let key = answer_key(&p.query.seeds, p.query.alpha, p.query.epsilon, p.epoch());
-            if let Some(entry) = self.answers.get(&key) {
+            let hit = (p.epoch() == self.head.epoch())
+                .then(|| answer_key(&p.query.seeds, p.query.alpha, p.query.epsilon))
+                .and_then(|key| self.answers.get(&key));
+            if let Some(entry) = hit {
                 // Copy what is served — not the residuals and seeds the
                 // entry keeps for repair.
                 let (vector, epsilon, certificate) =
@@ -1642,7 +1691,7 @@ impl Engine {
                 // response from a superseded snapshot is still served
                 // in full, it just isn't cached.
                 if p.epoch() == self.head.epoch() {
-                    let key = answer_key(&p.query.seeds, p.query.alpha, eps_used, p.epoch());
+                    let key = answer_key(&p.query.seeds, p.query.alpha, eps_used);
                     let seeds = if p.snapshot.is_relabeled() {
                         p.snapshot.lineage().map_nodes(&key.0)
                     } else {
@@ -2581,7 +2630,7 @@ mod tests {
         assert_eq!(s.edges, 1);
         assert_eq!(s.answers_revalidated + s.answers_repaired, 1);
         assert_eq!(s.answers_dropped, 0);
-        // The entry survived the delta, re-keyed to the new epoch: an
+        // The entry survived the delta and follows the head: an
         // exact repeat is a cache hit, not a recompute.
         assert_eq!(e.answer_cache_len(), 1);
         assert!(e.submit(query(&[0])).is_accepted());

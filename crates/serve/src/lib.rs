@@ -51,11 +51,13 @@
 //!   fewer nodes. Sketches are stamped with the graph epoch and
 //!   rebuilt on every [`Engine::update_graph`], so a stale sketch is
 //!   never consulted.
-//! * **Answer caching** — exact repeats keyed by
-//!   `(seeds, α, ε, graph epoch)` are served from an epoch-keyed
-//!   answer cache as [`ResponseKind::Cached`] — a non-degraded rung
-//!   above `Stale`, since the cached certificate still holds verbatim
-//!   on the current graph. Full graph swaps invalidate the whole
+//! * **Answer caching** — exact repeats keyed by `(seeds, α, ε)` are
+//!   served from a head-synchronized answer cache as
+//!   [`ResponseKind::Cached`] — a non-degraded rung above `Stale`,
+//!   since the cached certificate holds on the current graph. The key
+//!   is epoch-less: every write carries every entry to the new head
+//!   or drops it, and a request hits only when the epoch it pinned is
+//!   the head's. Full graph swaps invalidate the whole
 //!   cache; the older `(seeds, α)` stale cache survives swaps but
 //!   labels its answers with the epoch they were certified against
 //!   (`Certificate::StaleResidualMass`) and holds a fixed 4,096 keys,
@@ -66,10 +68,13 @@
 //!   mutations that arrive as an [`acir_graph::EdgeOp`] stream are
 //!   applied through a [`acir_graph::DeltaGraph`] overlay and
 //!   compacted into a fresh CSR, and the derived state is *repaired*,
-//!   not discarded: hub sketches whose residual support touches the
-//!   delta are reflowed by `acir_local::repair`, cached answers are
-//!   revalidated-or-repaired and re-keyed to the new epoch with
-//!   re-measured certificates, and anything unrepairable is dropped.
+//!   not discarded, and a write costs what it disturbed: compaction
+//!   splices the touched rows into a block copy of the CSR, and each
+//!   hub sketch and cached answer is first asked whether the delta can
+//!   change it (`acir_local::repair::delta_leaves_undisturbed`). The
+//!   undisturbed majority is kept in place; the rest is reflowed by
+//!   `acir_local::repair` with re-measured certificates, and anything
+//!   unrepairable is dropped.
 //!   For single-edge deltas this costs a small constant factor of the
 //!   perturbation instead of a full recompute (gated ≥10× fewer
 //!   pushes in `tests/dynamic_equivalence.rs`).

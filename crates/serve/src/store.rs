@@ -70,8 +70,9 @@ impl SketchStore {
 
     /// Repair this store across `delta` (the net edge changes from the
     /// store's graph to `g`), restamped with the new `epoch`. Only
-    /// sketches whose residual support touches a delta endpoint are
-    /// reflowed; the rest carry over verbatim. Returns the repaired
+    /// sketches the delta disturbs (`delta_leaves_undisturbed` says
+    /// otherwise for the rest) are reflowed; the rest carry over
+    /// verbatim. Returns the repaired
     /// store and the repair accounting (pushes spent is the
     /// repair-vs-rebuild gate numerator).
     pub fn repair(

@@ -8,7 +8,10 @@
 //! public entry points stay within a small constant (the output
 //! buffers they hand back). The same goes one layer up: a request
 //! served by the engine costs a constant number of heap events, not
-//! one per push.
+//! one per push. The write path is held to the same shape: compacting
+//! an overlay allocates a fixed handful of vectors however many rows
+//! it touches, and a delta that disturbs no cached answer costs the
+//! same whether 64 or 1,024 answers are cached.
 //!
 //! The counters are process-global, so every measurement lives in ONE
 //! `#[test]` — a concurrent test's allocations would otherwise bleed
@@ -17,6 +20,7 @@
 
 use acir::prelude::*;
 use acir::serve::{Engine, EngineConfig, Query, QueryOptions, ResponseKind};
+use acir_graph::{DeltaGraph, EdgeOp};
 use rand::SeedableRng;
 
 #[global_allocator]
@@ -192,4 +196,85 @@ fn steady_state_allocation_budgets() {
             delta.heap_events()
         );
     }
+
+    // --- DeltaGraph::compact: a fixed handful of vectors (the four
+    // CSR arrays and the identity relabeling), however many rows the
+    // overlay touches — no boxed iterator per row, no edge list. ---
+    let base = gen::deterministic::ring_of_cliques(12, 10).unwrap();
+    let compact_events = |ops: usize| {
+        let mut dg = DeltaGraph::new(&base);
+        for k in 0..ops as NodeId {
+            dg.insert_edge(k, 60 + k, 1.5).unwrap();
+        }
+        let before = acir_mem::snapshot();
+        let compacted = std::hint::black_box(dg.compact().unwrap());
+        let delta = acir_mem::snapshot().since(&before);
+        assert_eq!(compacted.0.arc_count(), base.arc_count() + 2 * ops);
+        drop(compacted);
+        delta
+    };
+    let (one_op, eight_ops) = (compact_events(1), compact_events(8));
+    assert_eq!(
+        one_op.allocs, eight_ops.allocs,
+        "compact() allocations grew with the overlay: {one_op:?} vs {eight_ops:?}"
+    );
+    assert!(
+        eight_ops.allocs <= 8 && eight_ops.reallocs == 0,
+        "compact() of a 16-row overlay: {eight_ops:?}"
+    );
+
+    // --- One write that disturbs no cached answer costs the same
+    // number of heap events whether 64 or 1,024 answers are cached:
+    // undisturbed entries are judged in place — no repair output, no
+    // re-keyed insert, no second map. (The minimum over three deltas
+    // is the steady cost; the engine trail's vector doubles now and
+    // then at a point that depends on how many requests came before.)
+    let write_events = |cached: NodeId| {
+        let ring = gen::deterministic::ring_of_cliques(220, 10).unwrap();
+        let mut engine = Engine::new(
+            ring,
+            EngineConfig {
+                capacity: 64 * 1_000_000,
+                refill_per_cycle: 64 * 1_000_000,
+                answer_cache_cap: 2048,
+                ..EngineConfig::default()
+            },
+        );
+        for seed in 0..cached {
+            let q = Query {
+                seeds: vec![seed],
+                alpha: 0.2,
+                epsilon: 1e-3,
+                deadline: None,
+                options: QueryOptions::default(),
+            };
+            assert!(engine.submit(q).is_accepted());
+            assert_eq!(engine.run_pending()[0].kind, ResponseKind::Full);
+        }
+        assert_eq!(engine.answer_cache_len(), cached as usize);
+        (2..5)
+            .map(|weight| {
+                // Clique 160 is far from every seed's diffusion.
+                let op = EdgeOp::Insert {
+                    u: 1600,
+                    v: 1605,
+                    weight: f64::from(weight),
+                };
+                let before = acir_mem::snapshot();
+                let summary = engine.update_graph_delta(&[op]).unwrap();
+                let delta = acir_mem::snapshot().since(&before);
+                assert_eq!(
+                    (summary.answers_revalidated, summary.answers_repaired),
+                    (cached as usize, 0)
+                );
+                delta.heap_events()
+            })
+            .min()
+            .unwrap()
+    };
+    let (small, large) = (write_events(64), write_events(1024));
+    assert_eq!(
+        small, large,
+        "an undisturbing write cost {small} heap events beside 64 cached answers, {large} beside 1,024"
+    );
 }

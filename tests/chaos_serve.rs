@@ -14,6 +14,7 @@
 //! counts — must also be bit-identical across thread counts; the suite
 //! asserts that too.
 
+use acir::exec::THREADS_ENV;
 use acir::serve::{Admission, ChaosConfig, Engine, EngineConfig, Query, Response};
 use acir_graph::EdgeOp;
 use acir_runtime::Certificate;
@@ -250,6 +251,20 @@ fn run_plan(plan: &Plan) -> Vec<Summary> {
     responses.iter().map(summarize).collect()
 }
 
+/// Run `f` at `ACIR_THREADS = n`, then restore whatever the variable
+/// held before (CI runs this binary with it set; a bare `remove_var`
+/// would silently drop the rest of the binary back to the default).
+fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var_os(THREADS_ENV);
+    std::env::set_var(THREADS_ENV, n.to_string());
+    let out = f();
+    match before {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -259,11 +274,8 @@ proptest! {
     #[test]
     fn admitted_requests_get_exactly_one_certified_response(plan in arb_plan()) {
         quiet_chaos_panics();
-        std::env::set_var(acir::exec::THREADS_ENV, "1");
-        let solo = run_plan(&plan);
-        std::env::set_var(acir::exec::THREADS_ENV, "4");
-        let wide = run_plan(&plan);
-        std::env::remove_var(acir::exec::THREADS_ENV);
+        let solo = with_threads(1, || run_plan(&plan));
+        let wide = with_threads(4, || run_plan(&plan));
         prop_assert_eq!(solo, wide);
     }
 }

@@ -19,21 +19,28 @@
 //! * an op stream that nets out to nothing returns the prior state bit
 //!   for bit, with zero pushes.
 //!
+//! The filter in front of the repair kernel is held to the kernel it
+//! mirrors: an *undisturbed* verdict from `delta_leaves_undisturbed`
+//! means `ppr_repair` is the identity on that prior (safety, random
+//! cases), and a *disturbed* verdict almost always means it is not
+//! (tightness, on a power-law graph with hub-adjacent deltas).
+//!
 //! A deterministic work gate pins why repair exists: on single-edge
 //! deltas it does at least 10× less push work than rebuilding.
 //!
-//! A deterministic engine-level companion drives a delta stream
-//! through `Engine::update_graph_delta` and checks that every cached
-//! answer served after repair carries a measured
-//! `Certificate::ResidualMass` bound ≤ ε and tracks a from-scratch
-//! push on the mutated graph.
+//! A deterministic engine-level companion drives a delta stream and a
+//! compaction through the engine and checks every cached answer it
+//! serves against an independent exact model: the certificate bound
+//! covers the residual re-derived from the served vector on the head
+//! graph, and the vector sits within that bound of exact PPR.
 
 use acir_graph::gen::random::{barabasi_albert, forest_fire, rmat};
 use acir_graph::traversal::largest_component;
 use acir_graph::{DeltaGraph, EdgeOp, Graph, NodeId};
+use acir_local::push::ppr_exact_reference;
 use acir_local::{
-    build_hub_sketches, ppr_push, repair::ppr_repair, repair::RepairRequest,
-    repair::DEFAULT_REPAIR_MASS_THRESHOLD, repair_hub_sketches,
+    build_hub_sketches, delta_endpoints, delta_leaves_undisturbed, ppr_push, repair::ppr_repair,
+    repair::RepairRequest, repair::DEFAULT_REPAIR_MASS_THRESHOLD, repair_hub_sketches, PushResult,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -325,99 +332,387 @@ fn repair_does_an_order_of_magnitude_less_push_work_than_rebuild() {
     }
 }
 
-/// Engine-level: a stream of single-edge deltas repairs cached answers
-/// in place; every post-repair `Cached` response carries a *measured*
-/// `ResidualMass` certificate bound ≤ ε and tracks a from-scratch push
-/// on the mutated graph.
+/// The worst `|r_u|/d_u` of a residual on `g` — what a certificate's
+/// `per_degree_bound` claims to cover.
+fn measured_bound(g: &Graph, residual: &[(NodeId, f64)]) -> f64 {
+    residual
+        .iter()
+        .filter(|&&(u, _)| g.degree(u) > 0.0)
+        .map(|&(u, r)| r.abs() / g.degree(u))
+        .fold(0.0, f64::max)
+}
+
+fn repair_request<'a>(
+    seed: &'a NodeId,
+    prior: &'a PushResult,
+    delta: &'a [acir_graph::EdgeDelta],
+    alpha: f64,
+    epsilon: f64,
+) -> RepairRequest<'a> {
+    RepairRequest {
+        seeds: std::slice::from_ref(seed),
+        estimate: &prior.vector,
+        residual: &prior.residuals,
+        delta,
+        alpha,
+        epsilon,
+        mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// Safety of the skip, over the same generators × op streams × α ×
+    /// ε as above with every node taken as a seed in turn (so one case
+    /// yields both verdicts): whenever `delta_leaves_undisturbed` says
+    /// a prior can be kept, `ppr_repair` on it is the identity — the
+    /// prior bit for bit, zero pushes — and the bound the caller keeps,
+    /// `max(prior bound, endpoint bound)`, covers what the kernel would
+    /// have measured.
+    #[test]
+    fn an_undisturbed_verdict_means_repair_is_the_identity(c in arb_case()) {
+        let g_old = build_graph(&c);
+        let mut dg = DeltaGraph::new(&g_old);
+        apply_ops(&mut dg, &c);
+        let delta = dg.net_delta();
+        let (g_new, _relabel) = dg.compact().unwrap();
+        let endpoints = delta_endpoints(&delta);
+
+        for seed in 0..g_old.n() as NodeId {
+            let prior = ppr_push(&g_old, &[seed], c.alpha, c.epsilon).unwrap();
+            let Some(endpoint_bound) = delta_leaves_undisturbed(
+                &g_new, &prior.vector, &prior.residuals, &endpoints, c.epsilon,
+            ) else {
+                continue;
+            };
+            let req = repair_request(&seed, &prior, &delta, c.alpha, c.epsilon);
+            let rr = ppr_repair(&g_new, &req).unwrap();
+            prop_assert!(rr.repaired && rr.pushes == 0 && rr.perturbation == 0.0, "seed {}", seed);
+            prop_assert_eq!(bits(&rr.vector), bits(&prior.vector), "seed {}", seed);
+            prop_assert_eq!(bits(&rr.residuals), bits(&prior.residuals), "seed {}", seed);
+            let kept = measured_bound(&g_old, &prior.residuals).max(endpoint_bound);
+            prop_assert!(endpoint_bound < c.epsilon && kept < c.epsilon);
+            prop_assert!(
+                rr.per_degree_bound <= kept,
+                "seed {}: kernel measures {} above the kept bound {}",
+                seed, rr.per_degree_bound, kept
+            );
+        }
+    }
+}
+
+/// Tightness of the skip: the predicate is *exact*, not conservative.
+/// On a power-law graph with 300 cached priors and deltas placed on
+/// hub neighbourhoods — where a residual-support test flags nearly
+/// every prior — a *disturbed* verdict must mean the repair really
+/// changes the state: identity repairs among the disturbed stay under
+/// a tenth. (A support-union predicate fails this by an order of
+/// magnitude; that is the regression the gate exists for.)
+#[test]
+fn a_disturbed_verdict_almost_always_means_the_state_changes() {
+    let (alpha, epsilon) = (0.1, 1e-4);
+    let mut rng = StdRng::seed_from_u64(0xAC1D ^ 0x7167);
+    let g = largest_component(&rmat(&mut rng, 12, 8, (0.57, 0.19, 0.19, 0.05)).unwrap()).0;
+    let n = g.n();
+    let seeds: Vec<NodeId> = (0..300).map(|i| ((i * n) / 300) as NodeId).collect();
+    let priors: Vec<PushResult> = seeds
+        .iter()
+        .map(|&s| ppr_push(&g, &[s], alpha, epsilon).unwrap())
+        .collect();
+    let mut hubs: Vec<NodeId> = (0..n as NodeId).collect();
+    hubs.sort_by(|&a, &b| g.degree(b).total_cmp(&g.degree(a)).then(a.cmp(&b)));
+
+    let (mut disturbed, mut undisturbed, mut identity, mut residual_hits) = (0, 0, 0, 0);
+    for d in 0..4usize {
+        // Four ops per delta, each on a neighbour of a top hub.
+        let mut dg = DeltaGraph::new(&g);
+        for k in 0..4usize {
+            let hub = hubs[(4 * d + k) % 16];
+            let nbrs = g.neighbor_ids(hub);
+            let u = nbrs[(7 * d + 3 * k) % nbrs.len()];
+            let v = ((d * 7919 + k * 104_729 + 13) % n) as NodeId;
+            if u != v {
+                dg.insert_edge(u, v, 1.0 + 0.5 * k as f64).unwrap();
+            }
+        }
+        let delta = dg.net_delta();
+        let (g_new, _relabel) = dg.compact().unwrap();
+        let endpoints = delta_endpoints(&delta);
+        for (seed, prior) in seeds.iter().zip(&priors) {
+            if endpoints
+                .iter()
+                .any(|c| prior.residuals.binary_search_by_key(c, |e| e.0).is_ok())
+            {
+                residual_hits += 1;
+            }
+            let verdict = delta_leaves_undisturbed(
+                &g_new,
+                &prior.vector,
+                &prior.residuals,
+                &endpoints,
+                epsilon,
+            );
+            if verdict.is_some() {
+                undisturbed += 1;
+                continue;
+            }
+            disturbed += 1;
+            let req = repair_request(seed, prior, &delta, alpha, epsilon);
+            let rr = ppr_repair(&g_new, &req).unwrap();
+            if rr.pushes == 0
+                && bits(&rr.vector) == bits(&prior.vector)
+                && bits(&rr.residuals) == bits(&prior.residuals)
+            {
+                identity += 1;
+            }
+        }
+    }
+    assert!(
+        disturbed > 0 && undisturbed > disturbed,
+        "{disturbed} disturbed vs {undisturbed} undisturbed: the deltas must split the cache"
+    );
+    assert!(
+        residual_hits >= 2 * disturbed,
+        "residual support meets an endpoint for {residual_hits} priors, {disturbed} are \
+         disturbed — the workload no longer separates the two tests"
+    );
+    assert!(
+        10 * identity < disturbed,
+        "{identity} of {disturbed} disturbed verdicts were identity repairs"
+    );
+}
+
+/// `r = s − (1/α)(I − (1−α)W)p` with `W = (I + AD⁻¹)/2`: the residual
+/// the ACL invariant assigns to an estimate `p` for a single seed,
+/// re-derived from the graph alone.
+fn acl_residual(g: &Graph, seed: NodeId, alpha: f64, p: &[f64]) -> Vec<f64> {
+    (0..g.n())
+        .map(|u| {
+            let walk: f64 = g
+                .neighbors(u as NodeId)
+                .map(|(v, w)| w * p[v as usize] / g.degree(v))
+                .sum();
+            let lazy = 0.5 * (p[u] + walk);
+            let s = if u as NodeId == seed { 1.0 } else { 0.0 };
+            s - (p[u] - (1.0 - alpha) * lazy) / alpha
+        })
+        .collect()
+}
+
+/// Engine-level truth: through a delta far from every cached answer, a
+/// reweight on a seed, a delete that drops a degree under a parked
+/// residual, and an RCM compaction, every cached entry is served
+/// `Cached`, and what it serves is *true* against a model that shares
+/// no code with the repair path — the certificate bound covers the
+/// residual re-derived from the served vector on the head graph, and
+/// the vector is within `bound·deg` of exact PPR, node by node. The
+/// write summary accounts for every entry at every step, and a request
+/// pinned before a write neither hits nor populates the (epoch-less)
+/// cache.
 #[test]
 fn engine_delta_stream_keeps_cached_answers_certified() {
-    use acir::serve::{Engine, EngineConfig, Query, ResponseKind};
+    use acir::serve::{DeltaSummary, Engine, EngineConfig, Query, ResponseKind};
+    use acir_graph::snapshot::CompactionOrder;
     use acir_runtime::Certificate;
 
-    let g = acir_graph::gen::deterministic::barbell(10, 3).unwrap();
-    let eps = 1e-2;
-    let mut e = Engine::new(g, EngineConfig::default());
-    let q = |s: u32| Query {
+    let (alpha, eps) = (0.1, 1e-3);
+    let mut rng = StdRng::seed_from_u64(7);
+    let g = largest_component(&barabasi_albert(&mut rng, 300, 3).unwrap()).0;
+    let n = g.n();
+    let seeds = [0 as NodeId, 150, 280];
+    // Tokens enough that every request is granted its full ε rung.
+    let cfg = EngineConfig {
+        capacity: 64 * 100_000,
+        refill_per_cycle: 64 * 100_000,
+        ..EngineConfig::default()
+    };
+    let mut e = Engine::new(g, cfg);
+    let q = |s: NodeId| Query {
         seeds: vec![s],
-        alpha: 0.1,
+        alpha,
         epsilon: eps,
         deadline: None,
         options: Default::default(),
     };
-    assert!(e.submit(q(0)).is_accepted());
-    assert!(e.submit(q(15)).is_accepted());
-    let rs = e.run_pending();
-    assert!(rs.iter().all(|r| r.kind == ResponseKind::Full));
-    assert_eq!(e.answer_cache_len(), 2);
+    for &s in &seeds {
+        assert!(e.submit(q(s)).is_accepted());
+        assert_eq!(e.run_pending()[0].kind, ResponseKind::Full);
+    }
+    assert_eq!(e.answer_cache_len(), seeds.len());
 
-    // Five single-edge deltas: reweights and a fresh edge, spread over
-    // both cliques.
-    let stream = [
-        EdgeOp::Insert {
-            u: 14,
-            v: 20,
-            weight: 3.0,
-        },
-        EdgeOp::Insert {
-            u: 2,
-            v: 5,
-            weight: 0.5,
-        },
-        EdgeOp::Insert {
-            u: 0,
-            v: 22,
-            weight: 1.0,
-        },
-        EdgeOp::Delete { u: 14, v: 20 },
-        EdgeOp::Insert {
-            u: 16,
-            v: 18,
-            weight: 2.0,
-        },
-    ];
-    for (i, op) in stream.iter().enumerate() {
-        let s = e.update_graph_delta(std::slice::from_ref(op)).unwrap();
-        assert_eq!(s.epoch, i as u64 + 1);
+    /// One cached answer as an outsider can know it, in the head's
+    /// labeling: the served estimate, the residual the ACL invariant
+    /// assigns to it, and the bound its certificate claims.
+    struct Served {
+        p: Vec<f64>,
+        r: Vec<f64>,
+        bound: f64,
+    }
+    // Ask for every cached answer again and hold each response to the
+    // exact model on the head graph.
+    let serve_and_check = |e: &mut Engine, step: &str| -> Vec<Served> {
+        seeds
+            .iter()
+            .map(|&seed| {
+                assert!(e.submit(q(seed)).is_accepted());
+                let resp = e.run_pending().remove(0);
+                assert_eq!(resp.kind, ResponseKind::Cached, "{step}: seed {seed}");
+                let Certificate::ResidualMass {
+                    per_degree_bound: bound,
+                    ..
+                } = resp.certificate
+                else {
+                    panic!("{step}: seed {seed} carries {:?}", resp.certificate);
+                };
+                assert!(bound > 0.0 && bound <= eps, "{step}: bound {bound}");
+
+                let snap = e.snapshot();
+                let (g, lineage) = (snap.graph(), snap.lineage());
+                let mut p = vec![0.0; n];
+                for &(u, x) in &resp.cluster {
+                    p[lineage.to_new(u) as usize] = x;
+                }
+                let seed_in = lineage.to_new(seed);
+                let r = acl_residual(g, seed_in, alpha, &p);
+                let exact = ppr_exact_reference(g, &[seed_in], alpha, 400).unwrap();
+                for u in 0..n {
+                    let d = g.degree(u as NodeId);
+                    assert!(
+                        r[u].abs() <= bound * d + 1e-12,
+                        "{step}: seed {seed} node {u}: |r|/d {} above the certified {bound}",
+                        r[u].abs() / d
+                    );
+                    assert!(
+                        (p[u] - exact[u]).abs() <= bound * d + 1e-12,
+                        "{step}: seed {seed} node {u}: served {} vs exact {}",
+                        p[u],
+                        exact[u]
+                    );
+                }
+                Served { p, r, bound }
+            })
+            .collect()
+    };
+    let accounted = |s: &DeltaSummary, step: &str| {
         assert_eq!(
             s.answers_revalidated + s.answers_repaired + s.answers_dropped,
-            2,
-            "every cached answer is accounted for at delta {i}"
+            seeds.len(),
+            "{step}: every cached answer is accounted for"
         );
-        assert_eq!(s.answers_dropped, 0, "raw-push answers stay repairable");
+        assert_eq!(
+            s.answers_dropped, 0,
+            "{step}: raw-push answers stay repairable"
+        );
+    };
 
-        // Both answers serve as Cached on the new epoch, certified
-        // with a measured bound, and track a from-scratch push.
-        for seed in [0u32, 15] {
-            assert!(e.submit(q(seed)).is_accepted());
-            let r = e.run_pending().remove(0);
-            assert_eq!(r.kind, ResponseKind::Cached, "seed {seed} delta {i}");
-            let Certificate::ResidualMass {
-                remaining,
-                per_degree_bound,
-            } = r.certificate
-            else {
-                panic!(
-                    "repaired answer must carry ResidualMass, got {:?}",
-                    r.certificate
-                );
-            };
-            assert!(
-                per_degree_bound <= eps,
-                "measured bound {per_degree_bound} > ε"
-            );
-            assert!(remaining.abs() <= 1.0 + 1e-12);
-            let fresh = acir_local::ppr_push(e.graph(), &[seed], 0.1, eps).unwrap();
-            let got = dense(e.graph().n(), &r.cluster);
-            let want = dense(e.graph().n(), &fresh.vector);
-            for u in 0..e.graph().n() {
-                let slack = (per_degree_bound + eps) * e.graph().degree(u as NodeId) + 1e-12;
-                assert!(
-                    (got[u] - want[u]).abs() <= slack,
-                    "delta {i} seed {seed} node {u}: cached {} vs fresh {}",
-                    got[u],
-                    want[u]
-                );
-            }
-        }
+    let served = serve_and_check(&mut e, "fresh");
+
+    // --- 1. An insert far from every answer (no estimate, no residual
+    // on either endpoint): nothing is repaired, nothing is pushed. Two
+    // requests pinned *before* the write ride through it: one whose
+    // key is cached, one whose key is new.
+    let far: Vec<NodeId> = (0..n)
+        .filter(|&u| served.iter().all(|a| a.p[u] == 0.0 && a.r[u] == 0.0))
+        .map(|u| u as NodeId)
+        .collect();
+    let (u, v) = (far[0], far[1]);
+    assert!(!e.graph().has_edge(u, v));
+    let newcomer = far[2];
+    assert!(e.submit(q(seeds[0])).is_accepted());
+    assert!(e.submit(q(newcomer)).is_accepted());
+    let s = e
+        .update_graph_delta(&[EdgeOp::Insert { u, v, weight: 2.0 }])
+        .unwrap();
+    accounted(&s, "far insert");
+    assert_eq!((s.answers_repaired, s.repair_pushes), (0, 0));
+    let pinned = e.run_pending();
+    assert!(
+        pinned.iter().all(|r| r.kind == ResponseKind::Full),
+        "a request pinned before the write must not be served from the head's cache"
+    );
+    assert_eq!(
+        e.answer_cache_len(),
+        seeds.len(),
+        "an answer computed on a superseded snapshot must not enter the cache"
+    );
+    let served = serve_and_check(&mut e, "far insert");
+
+    // --- 2. A reweight on a seed, where its answer's estimate mass is
+    // largest: that answer is reflowed and re-certified measured.
+    let hub_nbr = e.graph().neighbor_ids(seeds[0])[0];
+    let s = e
+        .update_graph_delta(&[EdgeOp::Insert {
+            u: seeds[0],
+            v: hub_nbr,
+            weight: 3.0,
+        }])
+        .unwrap();
+    accounted(&s, "seed reweight");
+    assert!(s.answers_repaired >= 1 && s.repair_pushes > 0);
+    let after = serve_and_check(&mut e, "seed reweight");
+    assert!(
+        after[0].bound < eps && after[0].bound != served[0].bound,
+        "the reflowed answer carries a measured bound"
+    );
+    let served = after;
+
+    // --- 3. A delete between two nodes that hold no estimate mass in
+    // any answer, one of them with residual parked on it, chosen so
+    // every parked residual stays under ε·d′: nothing is repaired, yet
+    // the degree under the residual dropped, so the kept certificate
+    // has to be raised to stay true.
+    let g = e.graph().clone();
+    let no_estimate = |u: NodeId| served.iter().all(|a| a.p[u as usize] == 0.0);
+    let still_parked = |u: NodeId, d_new: f64| {
+        d_new > 0.5
+            && served
+                .iter()
+                .all(|a| a.r[u as usize].abs() < 0.999 * eps * d_new)
+    };
+    let (c, x, ratio) = (0..n as NodeId)
+        .filter(|&c| no_estimate(c))
+        .flat_map(|c| g.neighbors(c).map(move |(x, w)| (c, x, w)))
+        .filter(|&(c, x, w)| {
+            no_estimate(x) && still_parked(c, g.degree(c) - w) && still_parked(x, g.degree(x) - w)
+        })
+        .map(|(c, x, w)| {
+            let parked = served
+                .iter()
+                .map(|a| a.r[c as usize].abs())
+                .fold(0.0, f64::max);
+            (c, x, parked / (g.degree(c) - w))
+        })
+        .max_by(|a, b| a.2.total_cmp(&b.2))
+        .expect("some residual-only node can lose an edge");
+    assert!(ratio > 0.5 * eps, "the parked residual is a real one");
+    let s = e
+        .update_graph_delta(&[EdgeOp::Delete { u: c, v: x }])
+        .unwrap();
+    accounted(&s, "delete under a parked residual");
+    assert_eq!((s.answers_repaired, s.repair_pushes), (0, 0));
+    let kept = serve_and_check(&mut e, "delete under a parked residual");
+    // Each kept certificate is the old one raised to cover the two
+    // endpoints at their new degrees — and for the answer with the
+    // most residual parked on `c` the raise is a real one.
+    let per_degree = |a: &Served, u: NodeId| a.r[u as usize].abs() / e.graph().degree(u);
+    for (before, after) in served.iter().zip(&kept) {
+        let raised = before
+            .bound
+            .max(per_degree(before, c))
+            .max(per_degree(before, x));
+        assert!((after.bound - raised).abs() <= 1e-12);
     }
+    assert!(
+        served.iter().zip(&kept).any(|(b, a)| a.bound > b.bound),
+        "no kept certificate had to be raised: |r_c|/d′_c = {ratio}"
+    );
+
+    // --- 4. An RCM compaction: every answer is carried through the
+    // relabeling and is still true on the renumbered head.
+    let s = e.compact(CompactionOrder::Rcm).unwrap();
+    assert!(s.relabeled);
+    assert_eq!((s.answers_relabeled, s.answers_dropped), (seeds.len(), 0));
+    serve_and_check(&mut e, "rcm compaction");
+    assert_eq!(e.answer_cache_len(), seeds.len());
 }

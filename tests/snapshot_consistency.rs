@@ -145,7 +145,7 @@ fn pinned_query_across_relabeling_compaction_matches_serial_replay() {
 
 /// A relabeling compaction repairs derived state through the
 /// permutation: every sketch carried (zero rebuilt), every cached
-/// answer re-keyed with a fresh *measured* certificate, and an exact
+/// answer relabeled in place with a fresh *measured* certificate, and an exact
 /// repeat of the pre-compaction query is a Cached hit whose external
 /// cluster is bit-identical to the original answer.
 #[test]
@@ -388,6 +388,20 @@ fn drive(schedule: &[Step]) -> (Vec<u64>, Vec<Response>) {
     (admitted, responses)
 }
 
+/// Run `f` at `ACIR_THREADS = n`, then restore whatever the variable
+/// held before (CI runs this binary with it set; a bare `remove_var`
+/// would silently drop the rest of the binary back to the default).
+fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var_os(THREADS_ENV);
+    std::env::set_var(THREADS_ENV, n.to_string());
+    let out = f();
+    match before {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -403,11 +417,8 @@ proptest! {
         prop_assert_eq!(admitted.len(), responses.len());
 
         // The same schedule is bit-identical across thread counts.
-        std::env::set_var(THREADS_ENV, "1");
-        let (_, r1) = drive(&schedule);
-        std::env::set_var(THREADS_ENV, "4");
-        let (_, r4) = drive(&schedule);
-        std::env::remove_var(THREADS_ENV);
+        let (_, r1) = with_threads(1, || drive(&schedule));
+        let (_, r4) = with_threads(4, || drive(&schedule));
         prop_assert_eq!(r1.len(), r4.len());
         for (a, b) in r1.iter().zip(&r4) {
             prop_assert_eq!(a.id, b.id);
