@@ -21,6 +21,10 @@
 //!   and every routine here reports its touched-node and work counters
 //!   so experiments can measure the strong-locality claim directly.
 //!
+//! Fresh push ([`mod@push`]), residual repair ([`repair`]) and the
+//! hub-sketch splice ([`sketch`]) share one push loop: each seeds or
+//! loads a state, resumes the same recurrence from it, and harvests.
+//!
 //! All methods produce an embedding vector over (a subset of) nodes;
 //! [`sweep`] turns any such vector into a cluster with a conductance
 //! guarantee of Cheeger type.

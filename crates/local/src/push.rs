@@ -24,8 +24,8 @@
 use crate::{LocalError, Result};
 use acir_graph::{Graph, NodeId, NodeValued};
 use acir_runtime::{
-    Budget, Certificate, DivergenceCause, Exhaustion, GuardConfig, KernelCtx, SolverOutcome,
-    StampedSet, StampedVec, WorkspacePool,
+    Budget, Certificate, Diagnostics, DivergenceCause, Exhaustion, GuardConfig, KernelCtx,
+    SolverOutcome, StampedSet, StampedVec, WorkspacePool,
 };
 use std::collections::VecDeque;
 
@@ -91,9 +91,9 @@ pub struct PushWorkspace {
     pub(crate) r: StampedVec,
     pub(crate) in_queue: StampedSet,
     pub(crate) queue: VecDeque<NodeId>,
-    /// Nodes whose residual was ever touched, in first-touch order
-    /// (sorted during harvest; every node with `p > 0` or `r > 0` is
-    /// here, because mass only ever arrives through `r`).
+    /// Nodes whose `p` or `r` was ever touched, in first-touch order
+    /// (sorted during harvest; every node with nonzero `p` or `r` is
+    /// here, since the loop only adds `p` where `r` is nonzero).
     pub(crate) touched: Vec<NodeId>,
 }
 
@@ -102,12 +102,57 @@ impl PushWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Clear every array for a graph of `n` nodes, in `O(1)`.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.p.reset(n);
+        self.r.reset(n);
+        self.in_queue.reset(n);
+        self.queue.clear();
+        self.touched.clear();
+    }
+
+    /// Queue `u` (degree `du`) unless it is queued already or
+    /// `|r_u| < threshold·du`.
+    #[inline]
+    pub(crate) fn arm(&mut self, u: NodeId, du: f64, threshold: f64) {
+        if !self.in_queue.contains(u as usize)
+            && self.r.get(u as usize).abs() >= threshold * du
+            && du > 0.0
+        {
+            self.in_queue.insert(u as usize);
+            self.queue.push_back(u);
+        }
+    }
+
+    /// Spread one unit of mass uniformly over `seeds` and queue every
+    /// seed at or above `threshold` that `parked` does not claim.
+    pub(crate) fn seed(
+        &mut self,
+        g: &Graph,
+        seeds: &[NodeId],
+        threshold: f64,
+        parked: impl Fn(NodeId) -> bool,
+    ) {
+        let seed_mass = 1.0 / seeds.len() as f64;
+        for &u in seeds {
+            if self.r.add(u as usize, seed_mass) {
+                self.touched.push(u);
+            }
+        }
+        for &u in seeds {
+            if !parked(u) {
+                self.arm(u, g.degree(u), threshold);
+            }
+        }
+    }
 }
 
-/// Pool backing the plain [`ppr_push`] / [`ppr_push_batch`] APIs (and
-/// the splice kernel in [`crate::sketch`], which shares the same
-/// scratch shape), so repeated calls reuse scratch without the caller
-/// holding a workspace.
+/// Pool backing every pooled entry point of the push family — the plain
+/// [`ppr_push`] / [`ppr_push_batch`] / [`ppr_push_ctx`] APIs, the repair
+/// kernel in [`crate::repair`] and the splice in [`crate::sketch`], all of
+/// which run [`resume_push`] on this one scratch shape — so repeated
+/// calls reuse scratch without the caller holding a workspace.
 pub(crate) static PUSH_POOL: WorkspacePool<PushWorkspace> = WorkspacePool::new();
 
 /// Run the ACL push algorithm from `seeds` (uniform mass over them).
@@ -133,7 +178,7 @@ pub fn ppr_push(g: &Graph, seeds: &[NodeId], alpha: f64, epsilon: f64) -> Result
 /// call performs **zero** heap allocations — the workspace arrays and
 /// `out.vector` reuse their capacity (the CI allocation gate asserts
 /// this). The result written to `out` is bit-identical to what
-/// [`ppr_push`] returns; on error `out` is left cleared.
+/// [`ppr_push`] returns; on error `out` is left untouched.
 pub fn ppr_push_ws(
     g: &Graph,
     seeds: &[NodeId],
@@ -186,12 +231,12 @@ pub(crate) fn validate_push_args(
     Ok(())
 }
 
-/// How the single ACL core loop exited (inert contexts only ever `Done`).
+/// How the push loop exited (inert contexts only ever `Done`).
 pub(crate) enum PushExit {
-    /// Every residual fell below `ε·d`: the full ACL guarantee holds.
+    /// Every residual fell below the threshold: the ACL guarantee holds.
     Done,
-    /// Budget ran out mid-diffusion; the partial vector was harvested
-    /// and the certificate ingredients captured at the exit point.
+    /// Budget ran out mid-diffusion; the certificate ingredients were
+    /// captured at the exit point.
     Exhausted {
         exhausted: Exhaustion,
         remaining: f64,
@@ -201,63 +246,75 @@ pub(crate) enum PushExit {
     Diverged(DivergenceCause),
 }
 
-/// The ACL loop on stamped scratch. Inputs are pre-validated.
-///
-/// Work is `O(|touched| + Σ pushed degrees)`: the stamped arrays reset
-/// in `O(1)` and are only ever read/written at queue and neighbor
-/// indices, and the final harvest walks the touched list instead of
-/// scanning `0..n`. Every arithmetic operation, queue transition, and
-/// summation order matches the historical dense implementation exactly,
-/// so results are bit-identical to it (untouched entries read as the
-/// literal `0.0` the dense arrays held, and adding `0.0` to the
-/// residual sum was an exact no-op for the nonnegative residuals).
-///
-/// The [`KernelCtx`] decides which cross-cutting concerns run: an inert
-/// context performs no metering, no residual recording, and no
-/// finiteness scans — and allocates nothing, preserving the
-/// zero-allocation guarantee of [`ppr_push_ws`]. A guarded context gets
-/// the budgeted path's NaN/Inf checks and turns the push-bound guard
-/// into a structured divergence instead of an error.
-pub(crate) fn push_core(
+impl PushExit {
+    /// `value` structured as the outcome this exit describes, with a
+    /// [`Certificate::ResidualMass`] when the budget ran out.
+    pub(crate) fn outcome<T>(self, value: T, diags: Diagnostics) -> SolverOutcome<T> {
+        match self {
+            PushExit::Done => SolverOutcome::converged(value, diags),
+            PushExit::Exhausted {
+                exhausted,
+                remaining,
+                per_degree_bound,
+            } => SolverOutcome::exhausted(
+                value,
+                exhausted,
+                Certificate::ResidualMass {
+                    remaining,
+                    per_degree_bound,
+                },
+                diags,
+            ),
+            PushExit::Diverged(cause) => SolverOutcome::diverged(cause, diags),
+        }
+    }
+}
+
+/// What one [`resume_push`] did, beside how it exited.
+pub(crate) struct PushRun {
+    pub(crate) exit: PushExit,
+    pub(crate) pushes: usize,
+    pub(crate) work: usize,
+    pub(crate) mass_pushed: f64,
+}
+
+/// The worst per-degree residual `max_u |r_u|/d_u` over positive-degree
+/// nodes (0.0 if there are none): the pointwise error bound of the
+/// estimate, by the ACL invariant. `max` is order-independent, so any
+/// listing of the nonzero residuals gives the dense `0..n` scan's bits.
+pub(crate) fn worst_per_degree(g: &Graph, residuals: impl Iterator<Item = (NodeId, f64)>) -> f64 {
+    residuals
+        .filter(|&(u, _)| g.degree(u) > 0.0)
+        .map(|(u, r)| r.abs() / g.degree(u))
+        .fold(0.0f64, f64::max)
+}
+
+/// The push family's one ACL loop, resumed from the state `ws` holds:
+/// push queued nodes with `|r_u| ≥ threshold·d_u` until the queue drains
+/// or the [`KernelCtx`] stops it. Residuals may be signed (repair's); on
+/// nonnegative ones `|r|` reads `r` bit for bit. `parked` nodes are
+/// never queued, so residual arriving there stays for the caller's
+/// harvest (the splice's hubs). Each push retires `α·|r_u|` of absolute
+/// mass, of which at most `cap_factor = 1 + Δ` exists after a
+/// perturbation `Δ`, so more than `4(1+Δ)/(threshold·α) + 16` pushes is
+/// a bug: an error on inert contexts, a divergence on guarded ones.
+/// `residual_mass` (`Σ r` at entry) feeds the residual trail and the
+/// exhaustion certificate. An inert context allocates nothing (the
+/// zero-allocation guarantee of [`ppr_push_ws`]); a guarded one checks
+/// every residual it touches for NaN/Inf.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn resume_push(
     g: &Graph,
-    seeds: &[NodeId],
-    alpha: f64,
-    epsilon: f64,
     ws: &mut PushWorkspace,
-    out: &mut PushResult,
+    alpha: f64,
+    threshold: f64,
+    parked: impl Fn(NodeId) -> bool,
+    cap_factor: f64,
+    mut residual_mass: f64,
     ctx: &mut KernelCtx,
-) -> Result<PushExit> {
-    let n = g.n();
-    ws.p.reset(n);
-    ws.r.reset(n);
-    ws.in_queue.reset(n);
-    ws.queue.clear();
-    ws.touched.clear();
-    out.vector.clear();
-    out.residuals.clear();
-
-    let seed_mass = 1.0 / seeds.len() as f64;
-    for &u in seeds {
-        if ws.r.add(u as usize, seed_mass) {
-            ws.touched.push(u);
-        }
-    }
-    for &u in seeds {
-        if !ws.in_queue.contains(u as usize) && ws.r.get(u as usize) >= epsilon * g.degree(u) {
-            ws.in_queue.insert(u as usize);
-            ws.queue.push_back(u);
-        }
-    }
-
-    let mut pushes = 0usize;
-    let mut work = 0usize;
-    let mut mass_pushed = 0.0f64;
-    // Tracked incrementally: each push moves exactly α·r[u] into p.
-    // Only observed by metered/traced contexts (residual recording and
-    // the exhaustion certificate); plain scalar arithmetic otherwise.
-    let mut residual_mass = 1.0f64;
-    // Hard safety cap well above the theoretical O(1/(εα)) push bound.
-    let push_cap = ((4.0 / (epsilon * alpha)).ceil() as usize).saturating_add(16);
+) -> Result<PushRun> {
+    let push_cap = ((4.0 * cap_factor / (threshold * alpha)).ceil() as usize).saturating_add(16);
+    let (mut pushes, mut work, mut mass_pushed) = (0usize, 0usize, 0.0f64);
     let mut exit = PushExit::Done;
 
     // CORE LOOP
@@ -269,36 +326,35 @@ pub(crate) fn push_core(
             exit = PushExit::Diverged(DivergenceCause::NonFiniteIterate { at_iter: pushes });
             break;
         }
-        if ru < epsilon * du {
+        if ru.abs() < threshold * du {
             continue;
         }
         pushes += 1;
-        mass_pushed += ru;
+        mass_pushed += ru.abs();
         if pushes > push_cap {
             if ctx.is_guarded() {
                 exit = PushExit::Diverged(DivergenceCause::Breakdown {
                     at_iter: pushes,
-                    what: "exceeded the theoretical O(1/(εα)) push bound",
+                    what: "exceeded the O((1+Δ)/(εα)) push bound",
                 });
                 break;
             }
             return Err(LocalError::InvalidArgument(
-                "ppr_push exceeded its theoretical push bound (bug guard)".into(),
+                "ACL push exceeded its O((1+Δ)/(εα)) bound (bug guard)".into(),
             ));
         }
         // Lazy push: α·ru into p; half of the rest stays at u; half
-        // spreads over neighbors proportionally to weight.
+        // spreads over neighbors proportionally to weight. u is already
+        // on the touched list: it was queued, so its residual is nonzero.
         ws.p.add(u as usize, alpha * ru);
         residual_mass -= alpha * ru;
-        let stay = (1.0 - alpha) * ru / 2.0;
-        ws.r.set(u as usize, stay);
-        let spread = (1.0 - alpha) * ru / 2.0;
+        let half = (1.0 - alpha) * ru / 2.0;
+        ws.r.set(u as usize, half);
         let mut traversals = 0u64;
         for (v, w) in g.neighbors(u) {
             work += 1;
             traversals += 1;
-            let dv = g.degree(v);
-            if ws.r.add(v as usize, spread * w / du) {
+            if ws.r.add(v as usize, half * w / du) {
                 ws.touched.push(v);
             }
             // A NaN residual never re-enters the queue (comparisons with
@@ -307,80 +363,93 @@ pub(crate) fn push_core(
                 exit = PushExit::Diverged(DivergenceCause::NonFiniteIterate { at_iter: pushes });
                 break;
             }
-            if !ws.in_queue.contains(v as usize) && ws.r.get(v as usize) >= epsilon * dv && dv > 0.0
-            {
-                ws.in_queue.insert(v as usize);
-                ws.queue.push_back(v);
+            if !parked(v) {
+                ws.arm(v, g.degree(v), threshold);
             }
         }
         if matches!(exit, PushExit::Diverged(_)) {
             break;
         }
-        // u itself may still be above threshold (the lazy half).
-        if !ws.in_queue.contains(u as usize) && ws.r.get(u as usize) >= epsilon * du {
-            ws.in_queue.insert(u as usize);
-            ws.queue.push_back(u);
-        }
+        // u itself may still be above threshold (the lazy half); it was
+        // queued, so it is not parked.
+        ws.arm(u, du, threshold);
 
         ctx.tick_iter();
         ctx.push_residual(residual_mass);
         if let Some(exhausted) = ctx.add_work(traversals) {
-            // Worst per-degree residual over positive-degree nodes: the
-            // pointwise error bound for the partial vector. Folded over
-            // the touched list, not `0..n`: untouched residuals read
-            // 0.0 and `max` is order-independent, so the bound is the
-            // dense scan's bit for bit at O(touched).
-            let per_degree_bound = ws
-                .touched
-                .iter()
-                .map(|&u| {
-                    let d = g.degree(u);
-                    if d > 0.0 {
-                        ws.r.get(u as usize) / d
-                    } else {
-                        0.0
-                    }
-                })
-                .fold(0.0f64, f64::max)
-                .max(epsilon);
+            // Folded over the touched list, not `0..n`: untouched
+            // residuals read 0.0, so the bound is the dense scan's bit
+            // for bit at O(touched).
+            let residuals = ws.touched.iter().map(|&u| (u, ws.r.get(u as usize)));
             exit = PushExit::Exhausted {
                 exhausted,
                 remaining: residual_mass,
-                per_degree_bound,
+                per_degree_bound: worst_per_degree(g, residuals).max(threshold),
             };
             break;
         }
     }
+    Ok(PushRun {
+        exit,
+        pushes,
+        work,
+        mass_pushed,
+    })
+}
 
-    if matches!(exit, PushExit::Diverged(_)) {
-        return Ok(exit);
+/// Write the nonzero `p` and `r` entries of `ws` into `out` in ascending
+/// node order (the dense `0..n` scans' order), with their sum, count
+/// and `run`'s counters, and return the exit; a diverged run leaves
+/// `out` untouched. A loaded prior can list a node twice, hence `dedup`.
+pub(crate) fn harvest(ws: &mut PushWorkspace, run: PushRun, out: &mut PushResult) -> PushExit {
+    if matches!(run.exit, PushExit::Diverged(_)) {
+        return run.exit;
     }
-
-    // Harvest over the sorted touched list — ascending node order, the
-    // same order the dense `0..n` scans visited the nonzero entries in.
     ws.touched.sort_unstable();
-    let mut touched = 0usize;
-    let mut residual_sum = 0.0f64;
+    ws.touched.dedup();
+    out.vector.clear();
+    out.residuals.clear();
+    let (mut touched, mut residual_sum) = (0usize, 0.0f64);
     for &u in &ws.touched {
         let p = ws.p.get(u as usize);
         let r = ws.r.get(u as usize);
-        if p > 0.0 {
+        if p != 0.0 {
             out.vector.push((u, p));
         }
-        if r > 0.0 {
+        if r != 0.0 {
             out.residuals.push((u, r));
         }
-        if p > 0.0 || r > 0.0 {
+        if p != 0.0 || r != 0.0 {
             touched += 1;
         }
         residual_sum += r;
     }
     out.residual_mass = residual_sum;
-    out.pushes = pushes;
-    out.work = work;
+    out.pushes = run.pushes;
+    out.work = run.work;
     out.touched = touched;
-    out.mass_pushed = mass_pushed;
-    Ok(exit)
+    out.mass_pushed = run.mass_pushed;
+    run.exit
+}
+
+/// Fresh ACL push on stamped scratch: seed `r`, [`resume_push`],
+/// [`harvest`]. Inputs are pre-validated. Work is `O(|touched| + Σ
+/// pushed degrees)` regardless of `n`, and every operation and
+/// summation order matches the historical dense implementation, so
+/// results are bit-identical to it.
+pub(crate) fn push_core(
+    g: &Graph,
+    seeds: &[NodeId],
+    alpha: f64,
+    epsilon: f64,
+    ws: &mut PushWorkspace,
+    out: &mut PushResult,
+    ctx: &mut KernelCtx,
+) -> Result<PushExit> {
+    ws.reset(g.n());
+    ws.seed(g, seeds, epsilon, |_| false);
+    let run = resume_push(g, ws, alpha, epsilon, |_| false, 1.0, 1.0, ctx)?;
+    Ok(harvest(ws, run, out))
 }
 
 /// Run [`ppr_push`] for many seed sets in one call, fanned out over the
@@ -455,34 +524,25 @@ pub fn ppr_push_batch_outcomes(
             .with_guard(GuardConfig::contamination_only());
         ppr_push_ctx(g, &seed_sets[i], alpha, epsilon, &mut ctx)
     });
+    let breakdown = |what, note| {
+        let mut diags = Diagnostics::new();
+        diags.note(note);
+        SolverOutcome::diverged(DivergenceCause::Breakdown { at_iter: 0, what }, diags)
+    };
     Ok(fenced
         .into_iter()
         .map(|slot| match slot {
             Ok(Ok(outcome)) => outcome,
-            Ok(Err(err)) => {
-                // Unreachable after up-front validation, but a batch
-                // item must never poison its neighbors.
-                let mut diags = acir_runtime::Diagnostics::new();
-                diags.note(format!("batch item error: {err}"));
-                SolverOutcome::diverged(
-                    DivergenceCause::Breakdown {
-                        at_iter: 0,
-                        what: "batch item returned an error",
-                    },
-                    diags,
-                )
-            }
-            Err(panic_msg) => {
-                let mut diags = acir_runtime::Diagnostics::new();
-                diags.note(format!("worker panic: {panic_msg}"));
-                SolverOutcome::diverged(
-                    DivergenceCause::Breakdown {
-                        at_iter: 0,
-                        what: "worker panicked mid-push",
-                    },
-                    diags,
-                )
-            }
+            // Unreachable after up-front validation, but a batch item
+            // must never poison its neighbors.
+            Ok(Err(err)) => breakdown(
+                "batch item returned an error",
+                format!("batch item error: {err}"),
+            ),
+            Err(panic_msg) => breakdown(
+                "worker panicked mid-push",
+                format!("worker panic: {panic_msg}"),
+            ),
         })
         .collect())
 }
@@ -501,24 +561,7 @@ pub fn ppr_push_ctx(
     validate_push_args(g, seeds, alpha, epsilon)?;
     let mut out = PushResult::empty();
     let exit = PUSH_POOL.with(|ws| push_core(g, seeds, alpha, epsilon, ws, &mut out, ctx))?;
-    let diags = ctx.finish();
-    Ok(match exit {
-        PushExit::Done => SolverOutcome::converged(out, diags),
-        PushExit::Exhausted {
-            exhausted,
-            remaining,
-            per_degree_bound,
-        } => SolverOutcome::exhausted(
-            out,
-            exhausted,
-            Certificate::ResidualMass {
-                remaining,
-                per_degree_bound,
-            },
-            diags,
-        ),
-        PushExit::Diverged(cause) => SolverOutcome::diverged(cause, diags),
-    })
+    Ok(exit.outcome(out, ctx.finish()))
 }
 
 /// ACL push under an explicit resource [`Budget`], with contamination

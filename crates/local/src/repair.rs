@@ -33,15 +33,24 @@
 //! incremental maintenance: a large enough perturbation makes
 //! recomputation the cheaper regularizer.
 //!
+//! The kernel is two passes in front of the push family's one loop:
+//! `correct_columns` loads the prior and injects the correction,
+//! `rearm_changed` queues the nodes whose `|r| ≥ ε·d` status moved, and
+//! `push::resume_push` reflows the perturbed mass, its cap scaled by
+//! `1 + Δ`.
+//!
 //! This is the engine behind incremental hub-sketch maintenance
 //! ([`crate::sketch::repair_hub_sketches`]) and the serve layer's
 //! cached-answer revalidation.
 
-use crate::push::{push_core, validate_push_args, PushExit, PushResult, PUSH_POOL};
+use crate::push::{
+    harvest, push_core, resume_push, validate_push_args, worst_per_degree, PushExit, PushResult,
+    PushWorkspace, PUSH_POOL,
+};
 use crate::{LocalError, Result};
 use acir_graph::delta::EdgeDelta;
 use acir_graph::{Graph, NodeId, NodeValued, Permutation};
-use acir_runtime::{Certificate, DivergenceCause, KernelCtx, SolverOutcome};
+use acir_runtime::{KernelCtx, SolverOutcome};
 
 /// Default perturbation threshold above which [`ppr_repair`] falls back
 /// to a from-scratch push: the full unit of diffusion mass. A fresh
@@ -118,20 +127,6 @@ impl NodeValued for RepairResult {
 
     fn node_values_mut(&mut self) -> &mut Vec<(NodeId, f64)> {
         &mut self.vector
-    }
-}
-
-impl From<RepairResult> for PushResult {
-    fn from(r: RepairResult) -> Self {
-        PushResult {
-            vector: r.vector,
-            residual_mass: r.residual_mass,
-            pushes: r.pushes,
-            work: r.work,
-            touched: r.touched,
-            residuals: r.residuals,
-            mass_pushed: r.mass_pushed,
-        }
     }
 }
 
@@ -259,29 +254,30 @@ fn endpoint_changes(delta: &[EdgeDelta]) -> Vec<(NodeId, ArcChanges)> {
         .collect()
 }
 
-/// The repair loop on the shared push scratch. Inputs are
-/// pre-validated. See the [module docs](self) for the math; the loop
-/// body is the ordinary ACL push with `|r|` in place of `r`.
-#[allow(clippy::too_many_lines)]
-fn repair_core(
+/// What [`correct_columns`] measured.
+struct Correction {
+    /// Signed residual mass `Σ r` after the pass.
+    residual_mass: f64,
+    /// Injected perturbation `Σ|Δr|`.
+    perturbation: f64,
+    /// Edge traversals spent.
+    work: usize,
+    /// A node carrying estimate mass gained its first or lost its last
+    /// edges: the pass stopped there, and only a fresh push is honest.
+    degenerate: bool,
+}
+
+/// The correction pass: load the prior into `ws` and restore the
+/// invariant on the new graph by adjusting `r` at the changed columns
+/// (delta endpoints with `p_c ≠ 0`). Adding into freshly-stamped zeros
+/// is exact, so with nothing to correct `ws` holds the prior bit for
+/// bit.
+fn correct_columns(
     g: &Graph,
     req: &RepairRequest<'_>,
-    ws: &mut crate::push::PushWorkspace,
-    out: &mut RepairResult,
-    ctx: &mut KernelCtx,
-) -> Result<PushExit> {
-    let n = g.n();
-    let (alpha, epsilon) = (req.alpha, req.epsilon);
-    ws.p.reset(n);
-    ws.r.reset(n);
-    ws.in_queue.reset(n);
-    ws.queue.clear();
-    ws.touched.clear();
-    out.vector.clear();
-    out.residuals.clear();
-
-    // Load the prior state. Adding into freshly-stamped zeros is exact,
-    // so a zero-delta repair returns the prior bit for bit.
+    changes: &[(NodeId, ArcChanges)],
+    ws: &mut PushWorkspace,
+) -> Correction {
     let mut residual_mass = 0.0f64;
     for &(u, x) in req.estimate {
         if ws.p.add(u as usize, x) {
@@ -294,14 +290,16 @@ fn repair_core(
         }
         residual_mass += x;
     }
-
-    // Correction pass: restore the invariant on the new graph by
-    // adjusting r at the changed columns (delta endpoints with p ≠ 0).
-    let changes = endpoint_changes(req.delta);
-    let mut perturbation = 0.0f64;
-    let mut work = 0usize;
-    let mut unrepairable = false;
-    for (c, row) in &changes {
+    let (mut perturbation, mut work) = (0.0f64, 0usize);
+    let mut adjust = |ws: &mut PushWorkspace, x: NodeId, adj: f64| {
+        perturbation += adj.abs();
+        residual_mass += adj;
+        if ws.r.add(x as usize, adj) {
+            ws.touched.push(x);
+        }
+    };
+    let mut degenerate = false;
+    for (c, row) in changes {
         let pc = ws.p.get(*c as usize);
         if pc == 0.0 {
             continue; // column c never received estimate mass
@@ -309,13 +307,10 @@ fn repair_core(
         let d_new = g.degree(*c);
         let d_old = d_new - row.iter().map(|&(_, o, nw)| nw - o).sum::<f64>();
         if d_old <= 0.0 || d_new <= 0.0 {
-            // A node carrying estimate mass gained its first edges or
-            // lost its last ones: the column swap is degenerate, and a
-            // fresh push is the only honest answer.
-            unrepairable = true;
+            degenerate = true;
             break;
         }
-        let kappa = pc * (1.0 - alpha) / (2.0 * alpha);
+        let kappa = pc * (1.0 - req.alpha) / (2.0 * req.alpha);
         // Net column swap A'_{·c}/d'_c − A_{·c}/d_c, one merged pass:
         // the new CSR row (old weights restored from the delta record)
         // plus fully-deleted arcs. Unchanged arcs nearly cancel —
@@ -330,71 +325,37 @@ fn repair_core(
             };
             let adj = kappa * (w_new / d_new - w_old / d_old);
             if adj != 0.0 {
-                perturbation += adj.abs();
-                residual_mass += adj;
-                if ws.r.add(x as usize, adj) {
-                    ws.touched.push(x);
-                }
+                adjust(ws, x, adj);
             }
         }
         for &(x, w_old, w_new) in row {
             if w_new == 0.0 && w_old > 0.0 {
                 work += 1;
-                let adj = -kappa * w_old / d_old;
-                perturbation += adj.abs();
-                residual_mass += adj;
-                if ws.r.add(x as usize, adj) {
-                    ws.touched.push(x);
-                }
+                adjust(ws, x, -kappa * w_old / d_old);
             }
         }
     }
-    out.perturbation = perturbation;
-
-    if unrepairable || perturbation > req.mass_threshold {
-        // From-scratch fallback: an ordinary push on the new graph.
-        ctx.note_with(|| {
-            if unrepairable {
-                "repair fallback: delta isolates or newly connects an estimate-bearing node".into()
-            } else {
-                format!(
-                    "repair fallback: perturbation {:.3e} exceeds threshold {:.3e}",
-                    perturbation, req.mass_threshold
-                )
-            }
-        });
-        let mut fresh = PushResult::empty();
-        let exit = push_core(g, req.seeds, alpha, epsilon, ws, &mut fresh, ctx)?;
-        out.per_degree_bound = match &exit {
-            PushExit::Exhausted {
-                per_degree_bound, ..
-            } => *per_degree_bound,
-            _ => fresh
-                .residuals
-                .iter()
-                .map(|&(u, r)| r.abs() / g.degree(u))
-                .fold(0.0f64, f64::max),
-        };
-        out.vector = std::mem::take(&mut fresh.vector);
-        out.residuals = std::mem::take(&mut fresh.residuals);
-        out.residual_mass = fresh.residual_mass;
-        out.pushes = fresh.pushes;
-        out.work = work + fresh.work;
-        out.touched = fresh.touched;
-        out.mass_pushed = fresh.mass_pushed;
-        out.repaired = false;
-        return Ok(exit);
+    Correction {
+        residual_mass,
+        perturbation,
+        work,
+        degenerate,
     }
+}
 
-    // Re-arm the queue: the only nodes whose `|r| ≥ ε·d` status can
-    // have changed are the endpoints (degree changed) and the nodes
-    // their corrections landed on (residual changed).
+/// The re-arm pass: queue every node whose `|r| ≥ ε·d` status the
+/// delta can have changed — the endpoints (degree changed) and the
+/// nodes their corrections landed on (residual changed).
+fn rearm_changed(
+    g: &Graph,
+    changes: &[(NodeId, ArcChanges)],
+    epsilon: f64,
+    ws: &mut PushWorkspace,
+) {
     let mut candidates: Vec<NodeId> = Vec::new();
-    for (c, row) in &changes {
+    for (c, row) in changes {
         candidates.push(*c);
-        for (x, _) in g.neighbors(*c) {
-            candidates.push(x);
-        }
+        candidates.extend(g.neighbors(*c).map(|(x, _)| x));
         for &(x, w_old, w_new) in row {
             if w_new == 0.0 && w_old > 0.0 {
                 candidates.push(x);
@@ -403,156 +364,60 @@ fn repair_core(
     }
     candidates.sort_unstable();
     candidates.dedup();
-    for &u in &candidates {
-        let du = g.degree(u);
-        if !ws.in_queue.contains(u as usize)
-            && ws.r.get(u as usize).abs() >= epsilon * du
-            && du > 0.0
-        {
-            ws.in_queue.insert(u as usize);
-            ws.queue.push_back(u);
-        }
+    for u in candidates {
+        ws.arm(u, g.degree(u), epsilon);
     }
+}
 
-    let mut pushes = 0usize;
-    let mut mass_pushed = 0.0f64;
-    // Safety cap: each push retires α·|r| of absolute residual mass,
-    // of which at most 1 + Δ exists.
-    let push_cap =
-        ((4.0 * (1.0 + perturbation) / (epsilon * alpha)).ceil() as usize).saturating_add(16);
-    let mut exit = PushExit::Done;
-
-    // CORE LOOP
-    while let Some(u) = ws.queue.pop_front() {
-        ws.in_queue.remove(u as usize);
-        let du = g.degree(u);
-        let ru = ws.r.get(u as usize);
-        if ctx.is_guarded() && !ru.is_finite() {
-            exit = PushExit::Diverged(DivergenceCause::NonFiniteIterate { at_iter: pushes });
-            break;
-        }
-        if ru.abs() < epsilon * du {
-            continue;
-        }
-        pushes += 1;
-        mass_pushed += ru.abs();
-        if pushes > push_cap {
-            if ctx.is_guarded() {
-                exit = PushExit::Diverged(DivergenceCause::Breakdown {
-                    at_iter: pushes,
-                    what: "exceeded the perturbation-scaled O((1+Δ)/(εα)) push bound",
-                });
-                break;
+/// Repair on the shared push scratch (see the [module docs](self)), or
+/// a from-scratch [`push_core`] when the perturbation is over the
+/// caller's threshold or the column swap is degenerate.
+// CORE LOOP (delegated: push::resume_push)
+fn repair_core(
+    g: &Graph,
+    req: &RepairRequest<'_>,
+    ws: &mut PushWorkspace,
+    out: &mut RepairResult,
+    ctx: &mut KernelCtx,
+) -> Result<PushExit> {
+    let (alpha, eps) = (req.alpha, req.epsilon);
+    ws.reset(g.n());
+    let changes = endpoint_changes(req.delta);
+    let c = correct_columns(g, req, &changes, ws);
+    out.perturbation = c.perturbation;
+    out.repaired = !(c.degenerate || c.perturbation > req.mass_threshold);
+    let mut fresh = PushResult::empty();
+    let exit = if out.repaired {
+        rearm_changed(g, &changes, eps, ws);
+        let cap = 1.0 + c.perturbation;
+        let run = resume_push(g, ws, alpha, eps, |_| false, cap, c.residual_mass, ctx)?;
+        harvest(ws, run, &mut fresh)
+    } else {
+        ctx.note_with(|| {
+            if c.degenerate {
+                "repair fallback: delta isolates or newly connects an estimate-bearing node".into()
+            } else {
+                format!(
+                    "repair fallback: perturbation {:.3e} exceeds threshold {:.3e}",
+                    c.perturbation, req.mass_threshold
+                )
             }
-            return Err(LocalError::InvalidArgument(
-                "ppr_repair exceeded its perturbation-scaled push bound (bug guard)".into(),
-            ));
-        }
-        // The ordinary lazy push, sign-agnostic: α·ru into p, half the
-        // rest stays, half spreads. Negative residuals retract mass.
-        if ws.p.add(u as usize, alpha * ru) {
-            ws.touched.push(u);
-        }
-        residual_mass -= alpha * ru;
-        let stay = (1.0 - alpha) * ru / 2.0;
-        ws.r.set(u as usize, stay);
-        let spread = (1.0 - alpha) * ru / 2.0;
-        let mut traversals = 0u64;
-        for (v, w) in g.neighbors(u) {
-            work += 1;
-            traversals += 1;
-            let dv = g.degree(v);
-            if ws.r.add(v as usize, spread * w / du) {
-                ws.touched.push(v);
-            }
-            if ctx.is_guarded() && !ws.r.get(v as usize).is_finite() {
-                exit = PushExit::Diverged(DivergenceCause::NonFiniteIterate { at_iter: pushes });
-                break;
-            }
-            if !ws.in_queue.contains(v as usize)
-                && ws.r.get(v as usize).abs() >= epsilon * dv
-                && dv > 0.0
-            {
-                ws.in_queue.insert(v as usize);
-                ws.queue.push_back(v);
-            }
-        }
-        if matches!(exit, PushExit::Diverged(_)) {
-            break;
-        }
-        if !ws.in_queue.contains(u as usize) && ws.r.get(u as usize).abs() >= epsilon * du {
-            ws.in_queue.insert(u as usize);
-            ws.queue.push_back(u);
-        }
-
-        ctx.tick_iter();
-        ctx.push_residual(residual_mass);
-        if let Some(exhausted) = ctx.add_work(traversals) {
-            // Over the touched list (see `push_core`): every nonzero
-            // residual is on it, so this is the dense scan's bound.
-            let per_degree_bound = ws
-                .touched
-                .iter()
-                .map(|&u| {
-                    let d = g.degree(u);
-                    if d > 0.0 {
-                        ws.r.get(u as usize).abs() / d
-                    } else {
-                        0.0
-                    }
-                })
-                .fold(0.0f64, f64::max)
-                .max(epsilon);
-            exit = PushExit::Exhausted {
-                exhausted,
-                remaining: residual_mass,
-                per_degree_bound,
-            };
-            break;
-        }
-    }
-
-    if matches!(exit, PushExit::Diverged(_)) {
-        return Ok(exit);
-    }
-
-    // Harvest. The touched list can hold a node twice (first-touched
-    // separately through p and r), so dedup after sorting.
-    ws.touched.sort_unstable();
-    ws.touched.dedup();
-    let mut touched = 0usize;
-    let mut residual_sum = 0.0f64;
-    let mut bound = 0.0f64;
-    for &u in &ws.touched {
-        let p = ws.p.get(u as usize);
-        let r = ws.r.get(u as usize);
-        if p != 0.0 {
-            out.vector.push((u, p));
-        }
-        if r != 0.0 {
-            out.residuals.push((u, r));
-            let d = g.degree(u);
-            if d > 0.0 {
-                bound = bound.max(r.abs() / d);
-            }
-        }
-        if p != 0.0 || r != 0.0 {
-            touched += 1;
-        }
-        residual_sum += r;
-    }
-    out.residual_mass = residual_sum;
+        });
+        push_core(g, req.seeds, alpha, eps, ws, &mut fresh, ctx)?
+    };
     out.per_degree_bound = match &exit {
         PushExit::Exhausted {
             per_degree_bound, ..
         } => *per_degree_bound,
-        _ => bound,
+        _ => worst_per_degree(g, fresh.residuals.iter().copied()),
     };
-    out.pushes = pushes;
-    out.work = work;
-    out.touched = touched;
-    out.mass_pushed = mass_pushed;
-    out.repaired = true;
+    out.vector = fresh.vector;
+    out.residuals = fresh.residuals;
+    out.residual_mass = fresh.residual_mass;
+    out.pushes = fresh.pushes;
+    out.work = c.work + fresh.work;
+    out.touched = fresh.touched;
+    out.mass_pushed = fresh.mass_pushed;
     Ok(exit)
 }
 
@@ -638,8 +503,9 @@ pub fn ppr_repair_relabeled(
 /// Context-driven repair: metering, contamination guards, and tracing
 /// per the [`KernelCtx`], with the result structured as a
 /// [`SolverOutcome`] whose certificate is the usual
-/// [`Certificate::ResidualMass`] — `remaining` is the signed residual
-/// mass and `per_degree_bound` the **measured** worst `|r|/d` at exit.
+/// [`acir_runtime::Certificate::ResidualMass`] — `remaining` is the
+/// signed residual mass and `per_degree_bound` the **measured** worst
+/// `|r|/d` at exit.
 pub fn ppr_repair_ctx(
     g: &Graph,
     req: &RepairRequest<'_>,
@@ -648,24 +514,7 @@ pub fn ppr_repair_ctx(
     validate_repair_args(g, req)?;
     let mut out = RepairResult::default();
     let exit = PUSH_POOL.with(|ws| repair_core(g, req, ws, &mut out, ctx))?;
-    let diags = ctx.finish();
-    Ok(match exit {
-        PushExit::Done => SolverOutcome::converged(out, diags),
-        PushExit::Exhausted {
-            exhausted,
-            remaining,
-            per_degree_bound,
-        } => SolverOutcome::exhausted(
-            out,
-            exhausted,
-            Certificate::ResidualMass {
-                remaining,
-                per_degree_bound,
-            },
-            diags,
-        ),
-        PushExit::Diverged(cause) => SolverOutcome::diverged(cause, diags),
-    })
+    Ok(exit.outcome(out, ctx.finish()))
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //!   estimate `p_h` and residual `r_h` vectors.
 //! * **Online** ([`ppr_push_spliced`]): push from the query seed at
 //!   threshold `ε_push = ε − ε_sketch`, but *never enqueue a sketched
-//!   hub* — residual arriving at a hub parks there. When the frontier
+//!   hub* — residual arriving at a hub parks there (the push family's
+//!   one loop, with the hubs as its parked set). When the frontier
 //!   drains, every remaining non-hub residual is `< ε_push·d` and the
 //!   parked hub residual is substituted by linearity of PPR:
 //!
@@ -28,10 +29,13 @@
 //!   invariant direct push certifies, at a fraction of the pushed mass.
 //!
 //! When no sketch can help (empty store, mismatched α, `ε_sketch ≥ ε`)
-//! the splice entry point degrades to the exact push core loop and
-//! is bit-identical to [`crate::push::ppr_push`].
+//! the splice entry point degrades to a plain push and is
+//! bit-identical to [`crate::push::ppr_push`].
 
-use crate::push::{ppr_push_ctx, push_core, validate_push_args, PushExit, PushResult, PUSH_POOL};
+use crate::push::{
+    ppr_push_ctx, push_core, resume_push, validate_push_args, worst_per_degree, PushExit,
+    PushResult, PushWorkspace, PUSH_POOL,
+};
 use crate::repair::{
     delta_endpoints, delta_leaves_undisturbed, ppr_repair, RepairRequest,
     DEFAULT_REPAIR_MASS_THRESHOLD,
@@ -39,7 +43,7 @@ use crate::repair::{
 use crate::{LocalError, Result};
 use acir_graph::delta::EdgeDelta;
 use acir_graph::{Graph, NodeId, NodeValued, Permutation};
-use acir_runtime::{Certificate, KernelCtx, SolverOutcome};
+use acir_runtime::{KernelCtx, SolverOutcome};
 use std::collections::BTreeMap;
 
 /// Sentinel in [`SketchSet::slot`] marking a node with no sketch.
@@ -512,8 +516,7 @@ pub fn ppr_push_spliced(
     epsilon: f64,
     set: &SketchSet,
 ) -> Result<SpliceResult> {
-    let mut ctx = KernelCtx::new();
-    match ppr_push_spliced_ctx(g, seeds, alpha, epsilon, set, &mut ctx)? {
+    match ppr_push_spliced_ctx(g, seeds, alpha, epsilon, set, &mut KernelCtx::new())? {
         SolverOutcome::Converged { value, .. } => Ok(value),
         // An inert context never meters or guards, so the loop can only
         // run to completion.
@@ -525,8 +528,9 @@ pub fn ppr_push_spliced(
 
 /// Context-driven [`ppr_push_spliced`]: metered, guarded, or traced per
 /// the [`KernelCtx`]. Budget exhaustion returns a certified partial
-/// whose [`Certificate::ResidualMass`] accounts for both the un-pushed
-/// online residual and the slack inherited from spliced sketches.
+/// whose [`acir_runtime::Certificate::ResidualMass`] accounts for both
+/// the un-pushed online residual and the slack inherited from spliced
+/// sketches.
 pub fn ppr_push_spliced_ctx(
     g: &Graph,
     seeds: &[NodeId],
@@ -555,31 +559,26 @@ pub fn ppr_push_spliced_ctx(
         ctx.note_with(|| format!("sketch fallback to pure push: {reason}"));
         let mut out = PushResult::empty();
         let exit = PUSH_POOL.with(|ws| push_core(g, seeds, alpha, epsilon, ws, &mut out, ctx))?;
-        let diags = ctx.finish();
-        return Ok(match exit {
-            PushExit::Done => {
-                let value = fallback_result(out, epsilon);
-                SolverOutcome::converged(value, diags)
-            }
+        // Shaped as a splice that used no sketch and spliced nothing.
+        let (residual_mass, per_degree_bound) = match exit {
             PushExit::Exhausted {
-                exhausted,
                 remaining,
                 per_degree_bound,
-            } => {
-                let mut value = fallback_result(out, per_degree_bound);
-                value.residual_mass = remaining;
-                SolverOutcome::exhausted(
-                    value,
-                    exhausted,
-                    Certificate::ResidualMass {
-                        remaining,
-                        per_degree_bound,
-                    },
-                    diags,
-                )
-            }
-            PushExit::Diverged(cause) => SolverOutcome::diverged(cause, diags),
-        });
+                ..
+            } => (remaining, per_degree_bound),
+            _ => (out.residual_mass, epsilon),
+        };
+        let value = SpliceResult {
+            vector: out.vector,
+            residual_mass,
+            per_degree_bound,
+            pushes: out.pushes,
+            work: out.work,
+            touched: out.touched,
+            mass_pushed: out.mass_pushed,
+            ..SpliceResult::default()
+        };
+        return Ok(exit.outcome(value, ctx.finish()));
     }
 
     let mut out = SpliceResult::default();
@@ -591,52 +590,20 @@ pub fn ppr_push_spliced_ctx(
             out.hubs_spliced, out.hub_mass, out.pushes, out.mass_pushed,
         )
     });
-    let diags = ctx.finish();
-    Ok(match exit {
-        PushExit::Done => SolverOutcome::converged(out, diags),
-        PushExit::Exhausted {
-            exhausted,
-            remaining,
-            per_degree_bound,
-        } => SolverOutcome::exhausted(
-            out,
-            exhausted,
-            Certificate::ResidualMass {
-                remaining,
-                per_degree_bound,
-            },
-            diags,
-        ),
-        PushExit::Diverged(cause) => SolverOutcome::diverged(cause, diags),
-    })
+    Ok(exit.outcome(out, ctx.finish()))
 }
 
-/// Shape a pure-push fallback as a [`SpliceResult`] (`used_sketches =
-/// false`, nothing spliced).
-fn fallback_result(out: PushResult, per_degree_bound: f64) -> SpliceResult {
-    SpliceResult {
-        vector: out.vector,
-        residual_mass: out.residual_mass,
-        per_degree_bound,
-        pushes: out.pushes,
-        work: out.work,
-        touched: out.touched,
-        hubs_spliced: 0,
-        hub_mass: 0.0,
-        mass_pushed: out.mass_pushed,
-        used_sketches: false,
-    }
-}
-
-/// The splice loop on the shared push scratch. Inputs are pre-validated
-/// and `set` is known compatible (`ε_sketch < ε`, same α, same n).
+/// The splice on the shared push scratch. Inputs are pre-validated and
+/// `set` is known compatible (`ε_sketch < ε`, same α, same n).
 ///
-/// Identical to [`push_core`] except sketched hubs are never enqueued:
-/// residual arriving at a hub parks there, and the harvest substitutes
-/// `r[h]·p_h` for it (ascending hub id, so the combination order — and
-/// hence every bit of the output — is deterministic at any thread
-/// count). The online threshold is `ε_push = ε − ε_sketch`, which makes
-/// the combined per-degree bound `ε_push + ε_sketch·Σ_h r[h] ≤ ε`.
+/// The push family's one loop ([`resume_push`]) with the sketched hubs
+/// parked: residual arriving at a hub is never pushed on, and the
+/// harvest substitutes `r[h]·p_h` for it (ascending hub id, so the
+/// combination order — and hence every bit of the output — is
+/// deterministic at any thread count). The online threshold is
+/// `ε_push = ε − ε_sketch`, which makes the combined per-degree bound
+/// `ε_push + ε_sketch·Σ_h r[h] ≤ ε`.
+// CORE LOOP (delegated: push::resume_push)
 #[allow(clippy::too_many_arguments)]
 fn splice_core(
     g: &Graph,
@@ -644,118 +611,16 @@ fn splice_core(
     alpha: f64,
     epsilon: f64,
     set: &SketchSet,
-    ws: &mut crate::push::PushWorkspace,
+    ws: &mut PushWorkspace,
     out: &mut SpliceResult,
     ctx: &mut KernelCtx,
 ) -> Result<PushExit> {
-    use acir_runtime::DivergenceCause;
-    let n = g.n();
     let eps_push = epsilon - set.epsilon();
-    ws.p.reset(n);
-    ws.r.reset(n);
-    ws.in_queue.reset(n);
-    ws.queue.clear();
-    ws.touched.clear();
-    out.vector.clear();
-
-    let seed_mass = 1.0 / seeds.len() as f64;
-    for &u in seeds {
-        if ws.r.add(u as usize, seed_mass) {
-            ws.touched.push(u);
-        }
-    }
-    for &u in seeds {
-        if !set.covers(u)
-            && !ws.in_queue.contains(u as usize)
-            && ws.r.get(u as usize) >= eps_push * g.degree(u)
-        {
-            ws.in_queue.insert(u as usize);
-            ws.queue.push_back(u);
-        }
-    }
-
-    let mut pushes = 0usize;
-    let mut work = 0usize;
-    let mut mass_pushed = 0.0f64;
-    let mut residual_mass = 1.0f64;
-    let push_cap = ((4.0 / (eps_push * alpha)).ceil() as usize).saturating_add(16);
-    let mut exit = PushExit::Done;
-
-    // CORE LOOP
-    while let Some(u) = ws.queue.pop_front() {
-        ws.in_queue.remove(u as usize);
-        let du = g.degree(u);
-        let ru = ws.r.get(u as usize);
-        if ctx.is_guarded() && !ru.is_finite() {
-            exit = PushExit::Diverged(DivergenceCause::NonFiniteIterate { at_iter: pushes });
-            break;
-        }
-        if ru < eps_push * du {
-            continue;
-        }
-        pushes += 1;
-        mass_pushed += ru;
-        if pushes > push_cap {
-            if ctx.is_guarded() {
-                exit = PushExit::Diverged(DivergenceCause::Breakdown {
-                    at_iter: pushes,
-                    what: "exceeded the theoretical O(1/(εα)) push bound",
-                });
-                break;
-            }
-            return Err(LocalError::InvalidArgument(
-                "ppr_push_spliced exceeded its theoretical push bound (bug guard)".into(),
-            ));
-        }
-        ws.p.add(u as usize, alpha * ru);
-        residual_mass -= alpha * ru;
-        let stay = (1.0 - alpha) * ru / 2.0;
-        ws.r.set(u as usize, stay);
-        let spread = (1.0 - alpha) * ru / 2.0;
-        let mut traversals = 0u64;
-        for (v, w) in g.neighbors(u) {
-            work += 1;
-            traversals += 1;
-            let dv = g.degree(v);
-            if ws.r.add(v as usize, spread * w / du) {
-                ws.touched.push(v);
-            }
-            if ctx.is_guarded() && !ws.r.get(v as usize).is_finite() {
-                exit = PushExit::Diverged(DivergenceCause::NonFiniteIterate { at_iter: pushes });
-                break;
-            }
-            // Hubs park their residual: it is answered from the sketch
-            // at harvest instead of being pushed on.
-            if !set.covers(v)
-                && !ws.in_queue.contains(v as usize)
-                && ws.r.get(v as usize) >= eps_push * dv
-                && dv > 0.0
-            {
-                ws.in_queue.insert(v as usize);
-                ws.queue.push_back(v);
-            }
-        }
-        if matches!(exit, PushExit::Diverged(_)) {
-            break;
-        }
-        // u was enqueued, so it is not a hub; the lazy half may requeue.
-        if !ws.in_queue.contains(u as usize) && ws.r.get(u as usize) >= eps_push * du {
-            ws.in_queue.insert(u as usize);
-            ws.queue.push_back(u);
-        }
-
-        ctx.tick_iter();
-        ctx.push_residual(residual_mass);
-        if let Some(exhausted) = ctx.add_work(traversals) {
-            exit = PushExit::Exhausted {
-                exhausted,
-                remaining: residual_mass,
-                per_degree_bound: eps_push,
-            };
-            break;
-        }
-    }
-
+    let parked = |u| set.covers(u);
+    ws.reset(g.n());
+    ws.seed(g, seeds, eps_push, parked);
+    let run = resume_push(g, ws, alpha, eps_push, parked, 1.0, 1.0, ctx)?;
+    let mut exit = run.exit;
     if matches!(exit, PushExit::Diverged(_)) {
         return Ok(exit);
     }
@@ -766,7 +631,6 @@ fn splice_core(
     ws.touched.sort_unstable();
     let mut touched = 0usize;
     let mut own_residual = 0.0f64;
-    let mut worst_per_degree = 0.0f64;
     let mut hub_mass = 0.0f64;
     let mut hubs_spliced = 0usize;
     let mut sketch_slack = 0.0f64;
@@ -790,10 +654,6 @@ fn splice_core(
                 }
             } else {
                 own_residual += r;
-                let d = g.degree(u);
-                if d > 0.0 {
-                    worst_per_degree = worst_per_degree.max(r / d);
-                }
             }
         }
     }
@@ -804,18 +664,21 @@ fn splice_core(
     // condition. Exhausted: the frontier may still hold larger
     // residuals, so the realized worst per-degree residual takes over.
     let base = match &exit {
-        PushExit::Exhausted { .. } => worst_per_degree.max(eps_push),
+        PushExit::Exhausted { .. } => {
+            let own = ws.touched.iter().filter(|&&u| !set.covers(u));
+            worst_per_degree(g, own.map(|&u| (u, ws.r.get(u as usize)))).max(eps_push)
+        }
         _ => eps_push,
     };
     let per_degree_bound = base + set.epsilon() * hub_mass;
     out.residual_mass = remaining;
     out.per_degree_bound = per_degree_bound;
-    out.pushes = pushes;
-    out.work = work;
+    out.pushes = run.pushes;
+    out.work = run.work;
     out.touched = touched;
     out.hubs_spliced = hubs_spliced;
     out.hub_mass = hub_mass;
-    out.mass_pushed = mass_pushed;
+    out.mass_pushed = run.mass_pushed;
     out.used_sketches = true;
     if let PushExit::Exhausted {
         remaining: r,
@@ -1032,7 +895,7 @@ mod tests {
         let out = ppr_push_spliced_ctx(&g, &[17], 0.05, 1e-5, &set, &mut ctx).unwrap();
         assert!(!out.is_converged() && out.is_usable());
         let (remaining, bound) = match out.certificate() {
-            Some(&Certificate::ResidualMass {
+            Some(&acir_runtime::Certificate::ResidualMass {
                 remaining,
                 per_degree_bound,
             }) => (remaining, per_degree_bound),

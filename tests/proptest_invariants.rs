@@ -45,8 +45,8 @@ proptest! {
         prop_assert!(cut.sweep.conductance >= cut.lambda2 / 2.0 - 1e-9);
     }
 
-    /// PPR push: mass conservation, residual bound, and agreement with
-    /// the exact lazy PPR within ε per unit degree.
+    /// PPR push: mass conservation, residual bound, agreement with the
+    /// exact lazy PPR within ε per unit degree, and the ACL work bound.
     #[test]
     fn push_invariants(g in arb_connected_graph(), raw_seed in 0u32..1000, eps_pow in 3u32..6) {
         let seed = raw_seed % g.n() as u32;
@@ -60,6 +60,11 @@ proptest! {
             let err = (exact[u] - dense[u]) / g.degree(u as u32).max(1e-300);
             prop_assert!(err >= -1e-7 && err <= eps + 1e-7, "node {u}: {err}");
         }
+        // The ACL work bound: each push retires α·r_u of the unit of
+        // mass, and puts at least α·ε·d_u into p.
+        prop_assert!(r.mass_pushed <= (1.0 + 1e-9) / 0.15, "{}", r.mass_pushed);
+        let vol: f64 = r.vector.iter().map(|&(u, _)| g.degree(u)).sum();
+        prop_assert!(vol <= (1.0 + 1e-9) / (eps * 0.15), "vol(supp p) {vol}");
     }
 
     /// MQI output is a subset of its input side and never has worse

@@ -139,6 +139,8 @@ proptest! {
             (p_mass + spliced.residual_mass - 1.0).abs() < 1e-9,
             "mass leak: {} + {} ≠ 1", p_mass, spliced.residual_mass
         );
+        // Each online push retires α·r_u of the unit of mass.
+        prop_assert!(spliced.mass_pushed <= (1.0 + 1e-9) / c.alpha);
 
         // ACL invariant, measured: against a near-exact reference,
         // every node's error is within the certified per-degree bound
