@@ -78,6 +78,38 @@ impl EdgeDelta {
     }
 }
 
+/// Does an edge that held `old` and now holds `new` count as changed?
+/// Weights compare by bits; absent at both ends is unchanged.
+fn weight_changed(old: Option<f64>, new: Option<f64>) -> bool {
+    old.map(f64::to_bits) != new.map(f64::to_bits)
+}
+
+/// Fold successive net deltas, oldest first — each the
+/// [`DeltaGraph::net_delta`] of one write against the graph the
+/// previous write produced — into the one net delta from the first
+/// write's base to the last write's result: per edge, the first
+/// record's `old` and the last record's `new`; edges that end where
+/// they began (bit-equal weights, or absent at both ends) are dropped;
+/// the output is sorted by `(u, v)`, like `net_delta`. It is the input
+/// the residual repair kernel takes for a prior that missed several
+/// writes.
+pub fn compose_net_deltas<'a>(
+    records: impl IntoIterator<Item = &'a [EdgeDelta]>,
+) -> Vec<EdgeDelta> {
+    let mut net: BTreeMap<(NodeId, NodeId), (Option<f64>, Option<f64>)> = BTreeMap::new();
+    for record in records {
+        for d in record {
+            net.entry((d.u, d.v))
+                .and_modify(|ends| ends.1 = d.new)
+                .or_insert((d.old, d.new));
+        }
+    }
+    net.into_iter()
+        .filter(|&(_, (old, new))| weight_changed(old, new))
+        .map(|((u, v), (old, new))| EdgeDelta { u, v, old, new })
+        .collect()
+}
+
 /// A sorted per-node overlay row: `(target, Some(weight))` overrides
 /// the base arc's weight (or inserts a new arc); `(target, None)`
 /// tombstones it.
@@ -249,12 +281,7 @@ impl<'g> DeltaGraph<'g> {
                     w if w > 0.0 => Some(w),
                     _ => None,
                 };
-                let changed = match (old, new) {
-                    (Some(a), Some(b)) => a.to_bits() != b.to_bits(),
-                    (None, None) => false,
-                    _ => true,
-                };
-                if changed {
+                if weight_changed(old, new) {
                     out.push(EdgeDelta { u, v, old, new });
                 }
             }
@@ -389,6 +416,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::gen::deterministic::{barbell, cycle};
+    use proptest::prelude::*;
 
     fn bits(it: impl Iterator<Item = (NodeId, f64)>) -> Vec<(NodeId, u64)> {
         it.map(|(v, w)| (v, w.to_bits())).collect()
@@ -604,6 +632,49 @@ mod tests {
     }
 
     #[test]
+    fn composition_cancels_round_trips_and_keeps_the_first_old() {
+        let g = cycle(6).unwrap();
+        let step = |base: &Graph, edit: fn(&mut DeltaGraph<'_>)| {
+            let mut d = DeltaGraph::new(base);
+            edit(&mut d);
+            let net = d.net_delta();
+            (d.compact().unwrap().0, net)
+        };
+        let (g1, a) = step(&g, |d| {
+            d.insert_edge(0, 3, 2.0).unwrap(); // insert …
+            d.insert_edge(1, 2, 4.0).unwrap(); // reweight …
+            d.delete_edge(4, 5).unwrap(); // delete …
+        });
+        let (_, b) = step(&g1, |d| {
+            d.delete_edge(0, 3).unwrap(); // … then delete: cancels
+            d.insert_edge(1, 2, 1.0).unwrap(); // … back to the base: cancels
+            d.insert_edge(4, 5, 0.5).unwrap(); // … then re-insert: a reweight
+            d.insert_edge(2, 5, 1.5).unwrap(); // a fresh insert
+        });
+        let composed = compose_net_deltas([a.as_slice(), b.as_slice()]);
+        assert_eq!(
+            composed,
+            vec![
+                EdgeDelta {
+                    u: 2,
+                    v: 5,
+                    old: None,
+                    new: Some(1.5)
+                },
+                EdgeDelta {
+                    u: 4,
+                    v: 5,
+                    old: Some(1.0),
+                    new: Some(0.5)
+                },
+            ]
+        );
+        // One record composes to itself; none to nothing.
+        assert_eq!(compose_net_deltas([a.as_slice()]), a);
+        assert!(compose_net_deltas(std::iter::empty::<&[EdgeDelta]>()).is_empty());
+    }
+
+    #[test]
     fn validates_nodes_and_weights() {
         let g = cycle(4).unwrap();
         let mut d = DeltaGraph::new(&g);
@@ -631,5 +702,57 @@ mod tests {
         let touched: Vec<NodeId> = d.touched_nodes().collect();
         assert_eq!(touched, vec![1, 2, 3, 4]);
         assert_eq!(d.version(), 2);
+    }
+
+    /// An op stream over a cycle: `(kind, u, v, weight selector)`, kind
+    /// 0 a delete,
+    /// weights drawn from a set that includes the base weight 1.0 so
+    /// reweights back to the original and insert-then-delete pairs
+    /// happen often.
+    fn apply_stream(d: &mut DeltaGraph<'_>, ops: &[(u8, u32, u32, u8)]) {
+        let n = d.n() as NodeId;
+        for &(kind, a, b, w) in ops {
+            let (u, v) = (a % n, b % n);
+            if kind == 0 {
+                d.delete_edge(u, v).unwrap();
+            } else {
+                d.insert_edge(u, v, [1.0, 2.0, 0.5][w as usize]).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Two successive writes composed equal one overlay fed both op
+        /// streams — bit for bit, cancellations included.
+        #[test]
+        fn composing_two_writes_equals_one_overlay_fed_both(
+            n in 3usize..9,
+            first in collection::vec((0u8..3, 0u32..9, 0u32..9, 0u8..3), 0..8),
+            second in collection::vec((0u8..3, 0u32..9, 0u32..9, 0u8..3), 0..8),
+        ) {
+            let g = cycle(n).unwrap();
+            let mut d1 = DeltaGraph::new(&g);
+            apply_stream(&mut d1, &first);
+            let a = d1.net_delta();
+            let (g1, _) = d1.compact().unwrap();
+            let mut d2 = DeltaGraph::new(&g1);
+            apply_stream(&mut d2, &second);
+            let b = d2.net_delta();
+
+            let mut both = DeltaGraph::new(&g);
+            apply_stream(&mut both, &first);
+            apply_stream(&mut both, &second);
+            let key = |ds: &[EdgeDelta]| -> Vec<(NodeId, NodeId, Option<u64>, Option<u64>)> {
+                ds.iter()
+                    .map(|d| (d.u, d.v, d.old.map(f64::to_bits), d.new.map(f64::to_bits)))
+                    .collect()
+            };
+            prop_assert_eq!(
+                key(&compose_net_deltas([a.as_slice(), b.as_slice()])),
+                key(&both.net_delta())
+            );
+        }
     }
 }

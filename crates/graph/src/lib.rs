@@ -45,7 +45,7 @@ pub mod traversal;
 
 pub use builder::GraphBuilder;
 pub use csr::{Graph, NodeId, RowIter};
-pub use delta::{DeltaGraph, EdgeDelta, EdgeOp};
+pub use delta::{compose_net_deltas, DeltaGraph, EdgeDelta, EdgeOp};
 pub use permute::{bandwidth_stats, BandwidthStats, Permutation};
 pub use result::NodeValued;
 pub use snapshot::{compact_ordered, CompactionOrder, GraphSnapshot, SnapshotStore};

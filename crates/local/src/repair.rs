@@ -421,6 +421,42 @@ fn repair_core(
     Ok(exit)
 }
 
+/// What [`repair_core`] emits for an empty delta, without the workspace
+/// round trip: with nothing to correct and nothing to re-arm, the
+/// harvest re-emits the loaded prior — its nonzero entries, `Σ r` in
+/// ascending node order, the merged count of nodes carrying either —
+/// and measures its bound. Only a prior the harvest would emit as
+/// given qualifies (strictly ascending nodes, no stored zeros, as the
+/// push family emits); anything else returns `None` and takes the
+/// kernel.
+fn unchanged_prior(g: &Graph, req: &RepairRequest<'_>) -> Option<RepairResult> {
+    let canonical =
+        |s: &[(NodeId, f64)]| s.windows(2).all(|w| w[0].0 < w[1].0) && s.iter().all(|e| e.1 != 0.0);
+    if !req.delta.is_empty() || !canonical(req.estimate) || !canonical(req.residual) {
+        return None;
+    }
+    let (p, r) = (req.estimate, req.residual);
+    let (mut i, mut j, mut touched) = (0, 0, 0);
+    while i < p.len() || j < r.len() {
+        match (p.get(i), r.get(j)) {
+            (Some(a), Some(b)) if a.0 == b.0 => (i, j) = (i + 1, j + 1),
+            (Some(a), Some(b)) if a.0 < b.0 => i += 1,
+            (Some(_), None) => i += 1,
+            _ => j += 1,
+        }
+        touched += 1;
+    }
+    Some(RepairResult {
+        vector: p.to_vec(),
+        residuals: r.to_vec(),
+        residual_mass: r.iter().fold(0.0, |sum, e| sum + e.1),
+        per_degree_bound: worst_per_degree(g, r.iter().copied()),
+        touched,
+        repaired: true,
+        ..RepairResult::default()
+    })
+}
+
 /// Repair a prior push state against an edge delta. See the
 /// [module docs](self).
 ///
@@ -431,6 +467,9 @@ fn repair_core(
 /// with `pushes == 0`.
 pub fn ppr_repair(g: &Graph, req: &RepairRequest<'_>) -> Result<RepairResult> {
     validate_repair_args(g, req)?;
+    if let Some(out) = unchanged_prior(g, req) {
+        return Ok(out);
+    }
     let mut out = RepairResult::default();
     let mut ctx = KernelCtx::new();
     PUSH_POOL.with(|ws| repair_core(g, req, ws, &mut out, &mut ctx))?;
@@ -575,6 +614,62 @@ mod tests {
         assert_eq!(rr.vector, prior.vector);
         assert_eq!(rr.residuals, prior.residuals);
         assert_eq!(rr.residual_mass.to_bits(), prior.residual_mass.to_bits());
+    }
+
+    /// The empty-delta shortcut emits what the kernel's workspace round
+    /// trip emits, field for field, on a fresh prior and on a signed
+    /// repaired one.
+    #[test]
+    fn empty_delta_shortcut_matches_the_kernel() {
+        let g = barbell(6, 2).unwrap();
+        let (g_new, _, repaired) = repair_after(
+            &g,
+            |dg| {
+                dg.insert_edge(0, 7, 2.0).unwrap();
+            },
+            &[0],
+            0.1,
+            1e-3,
+        );
+        let fresh = ppr_push(&g_new, &[0], 0.1, 1e-3).unwrap();
+        let priors = [
+            (fresh.vector, fresh.residuals),
+            (repaired.vector, repaired.residuals),
+        ];
+        for (estimate, residual) in &priors {
+            let req = RepairRequest {
+                seeds: &[0],
+                estimate,
+                residual,
+                delta: &[],
+                alpha: 0.1,
+                epsilon: 1e-3,
+                mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
+            };
+            let short = ppr_repair(&g_new, &req).unwrap();
+            let kernel = ppr_repair_ctx(&g_new, &req, &mut KernelCtx::new())
+                .unwrap()
+                .into_value()
+                .unwrap();
+            let fields = |r: &RepairResult| {
+                let bits = |v: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+                    v.iter().map(|&(u, x)| (u, x.to_bits())).collect()
+                };
+                (
+                    bits(&r.vector),
+                    bits(&r.residuals),
+                    [
+                        r.residual_mass,
+                        r.per_degree_bound,
+                        r.mass_pushed,
+                        r.perturbation,
+                    ]
+                    .map(f64::to_bits),
+                    (r.pushes, r.work, r.touched, r.repaired),
+                )
+            };
+            assert_eq!(fields(&short), fields(&kernel));
+        }
     }
 
     #[test]

@@ -39,22 +39,25 @@
 //! `Full` or `Cached`. An *edge delta*
 //! ([`Engine::update_graph_delta`]) publishes a delta snapshot, and
 //! instead of discarding derived state it carries it across, paying
-//! only for what the delta disturbed: each hub sketch and each cached
-//! answer is first asked whether the delta can change it at all
-//! (`delta_leaves_undisturbed` — no estimate mass on an endpoint, and
-//! every endpoint's parked residual still under `ε·d′`); the
-//! undisturbed majority is kept as it is, the rest is reflowed by the
-//! push-style residual-repair kernel (`ppr_repair`) and re-certified
-//! measured, and anything unrepairable is dropped — never served. The
-//! answer cache is head-synchronized with an epoch-less key, so no
-//! write re-keys an entry. A *relabeling compaction*
-//! ([`Engine::compact`]) publishes a
-//! renumbered snapshot and routes sketches and cached answers through
-//! the recorded `Permutation` (`ppr_repair_relabeled`,
-//! `relabel_sketch_set`) — repaired, not rebuilt or purged, with fresh
-//! measured certificates. The epoch stamp remains the consistency
-//! protocol: requests pinned to different snapshots are never batched,
-//! spliced, or cache-served together.
+//! only for what the delta disturbed: each hub sketch is first asked
+//! whether the delta can change it at all (`delta_leaves_undisturbed`
+//! — no estimate mass on an endpoint, and every endpoint's parked
+//! residual still under `ε·d′`); the undisturbed majority is kept as
+//! it is, the rest is reflowed by the push-style residual-repair
+//! kernel (`ppr_repair`). The answer cache is not visited at all: each
+//! entry is tagged with the epoch it is certified at, the write
+//! appends its net delta to a log, and the next probe that hits a
+//! behind entry **catches it up** — the same predicate, then the same
+//! kernel, against the composed delta of the writes it missed —
+//! re-certified measured, or dropped (never served) if unrepairable.
+//! A *relabeling compaction* ([`Engine::compact`]) catches every
+//! behind entry up, publishes a renumbered snapshot, and routes
+//! sketches and cached answers through the recorded `Permutation`
+//! (`ppr_repair_relabeled`, `relabel_sketch_set`) — repaired, not
+//! rebuilt or purged, with fresh measured certificates. The epoch
+//! stamp remains the consistency protocol: requests pinned to
+//! different snapshots are never batched, spliced, or cache-served
+//! together.
 //!
 //! For deterministic concurrency testing, a writer can be *staged*
 //! ([`Engine::stage_write`]) to fire at an exact [`PublishPoint`]
@@ -65,7 +68,7 @@
 use crate::chaos::ChaosConfig;
 use crate::store::SketchStore;
 use acir_graph::snapshot::{compact_ordered, CompactionOrder, GraphSnapshot, SnapshotStore};
-use acir_graph::{DeltaGraph, EdgeDelta, EdgeOp, Graph, NodeId, Permutation};
+use acir_graph::{compose_net_deltas, DeltaGraph, EdgeDelta, EdgeOp, Graph, NodeId, Permutation};
 use acir_local::push::{ppr_push_batch_outcomes, ppr_push_ctx, PushResult};
 use acir_local::repair::{
     delta_endpoints, delta_leaves_undisturbed, ppr_repair, ppr_repair_relabeled, RepairRequest,
@@ -77,6 +80,7 @@ use acir_runtime::{
     Backoff, Budget, Certificate, Diagnostics, DivergenceCause, GuardConfig, KernelCtx,
     RetryPolicy, SolverOutcome, SpmvLayout,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -369,12 +373,32 @@ pub struct EngineStats {
     /// Oldest events dropped from the engine trail ([`Engine::trace`])
     /// to keep it bounded; `0` until the trail first outgrows its cap.
     pub trace_events_dropped: u64,
+    /// Cached answers a catch-up (at a probe, or ahead of a
+    /// compaction) found still certified after the writes they missed:
+    /// undisturbed — kept as they were, vector, residual and allocation
+    /// untouched, without calling the repair kernel, the bound raised
+    /// where an endpoint's degree dropped under a parked residual — or
+    /// zero-push (the kernel absorbed a correction without reflowing).
+    pub answers_revalidated: u64,
+    /// Cached answers a catch-up reflowed through the repair kernel.
+    pub answers_repaired: u64,
+    /// Cached answers a catch-up dropped as unrepairable (splice-born
+    /// entries, degenerate deltas, or repair errors).
+    pub answers_dropped: u64,
 }
 
 impl EngineStats {
     /// Responses served below the top ladder rung.
     pub fn degraded(&self) -> u64 {
         self.coarsened + self.partial + self.stale + self.seed_only
+    }
+
+    fn tally(&mut self, outcome: CatchUp) {
+        match outcome {
+            CatchUp::Revalidated => self.answers_revalidated += 1,
+            CatchUp::Repaired => self.answers_repaired += 1,
+            CatchUp::Dropped => self.answers_dropped += 1,
+        }
     }
 }
 
@@ -479,22 +503,42 @@ impl<K: Clone + Eq + Hash, V> FifoMap<K, V> {
         self.map.get(key)
     }
 
+    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(key)
+    }
+
     fn clear(&mut self) {
         self.map.clear();
         self.order.clear();
     }
 
     /// Insert or overwrite — an overwritten key keeps its place in
-    /// line — then evict oldest-first down to the capacity.
-    fn insert(&mut self, key: K, value: V) {
+    /// line — then evict oldest-first down to the capacity, handing
+    /// every value that leaves (overwritten or evicted) to `displaced`.
+    fn insert(&mut self, key: K, value: V, mut displaced: impl FnMut(V)) {
         match self.map.get_mut(&key) {
-            Some(slot) => *slot = value,
+            Some(slot) => displaced(std::mem::replace(slot, value)),
             None => {
                 self.order.push_back(key.clone());
                 self.map.insert(key, value);
             }
         }
-        while self.map.len() > self.cap && self.pop_oldest().is_some() {}
+        while self.map.len() > self.cap {
+            match self.pop_oldest() {
+                Some((_, gone)) => displaced(gone),
+                None => break,
+            }
+        }
+    }
+
+    /// Remove one entry, wherever it stands in line (`O(len)` for the
+    /// line; removals are rare next to probes).
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let value = self.map.remove(key)?;
+        if let Some(at) = self.order.iter().position(|k| k == key) {
+            self.order.remove(at);
+        }
+        Some(value)
     }
 
     /// Visit every entry oldest-first with mutable access, removing
@@ -552,12 +596,13 @@ fn cache_key(seeds: &[NodeId], alpha: f64) -> CacheKey {
     (s, alpha.to_bits())
 }
 
-/// Exact answer-cache key: sorted deduped seeds, α bits, ε bits. It is
-/// **epoch-less** because the cache is head-synchronized: every write
-/// carries every entry to the new head (repair, relabel) or drops it,
-/// and only answers computed against the head enter. The epoch check
-/// therefore sits at the probe — a request hits only when its pinned
-/// epoch is the head's — and no write ever re-keys an entry.
+/// Exact answer-cache key: sorted deduped seeds, α bits, ε bits. The
+/// epoch is not part of it: an entry *records* the epoch it is
+/// certified at ([`AnswerEntry::epoch`]) and is caught up to the head
+/// when a probe hits it, so a key has one entry however many writes
+/// have passed, and no write ever re-keys one. The pinned-epoch check
+/// sits at the probe — a request hits only when its pinned epoch is
+/// the head's — and only answers computed against the head enter.
 type AnswerKey = (Vec<NodeId>, u64, u64);
 
 fn answer_key(seeds: &[NodeId], alpha: f64, epsilon: f64) -> AnswerKey {
@@ -569,7 +614,12 @@ fn answer_key(seeds: &[NodeId], alpha: f64, epsilon: f64) -> AnswerKey {
 
 #[derive(Debug, Clone)]
 struct AnswerEntry {
-    epsilon: f64,
+    /// The epoch this entry's payload and certificate are true at: the
+    /// head's when it was cached or last caught up. Payloads live in
+    /// that snapshot's internal id space; a compaction always catches
+    /// entries up first, so every live epoch shares the head's labeling.
+    /// (The ε the answer satisfies is the key's.)
+    epoch: u64,
     vector: Vec<(NodeId, f64)>,
     certificate: Certificate,
     /// Sorted, deduped seeds (the key's seed component) — what the
@@ -578,7 +628,7 @@ struct AnswerEntry {
     /// The answer's residual vector, kept so an edge delta can repair
     /// the entry in place instead of purging it. Splice-sourced answers
     /// carry an empty residual with nonzero certified mass — those are
-    /// unrepairable and dropped on the first delta.
+    /// unrepairable and dropped by their first catch-up.
     residuals: Vec<(NodeId, f64)>,
     /// Request-clock stamp at caching time, for TTL expiry.
     born: u64,
@@ -599,13 +649,13 @@ impl AnswerEntry {
     /// Take over a repaired state and re-issue the certificate with
     /// the **measured** post-repair worst `|r|/d` — tighter than the ε
     /// the answer was asked for (an all-zero residual measures 0.0;
-    /// report the satisfied ε instead so the bound stays meaningful
-    /// and positive).
-    fn adopt(&mut self, rr: RepairResult, trace: &mut Diagnostics) {
+    /// report the satisfied `epsilon` instead so the bound stays
+    /// meaningful and positive).
+    fn adopt(&mut self, rr: RepairResult, epsilon: f64, trace: &mut Diagnostics) {
         let measured = if rr.per_degree_bound > 0.0 {
             rr.per_degree_bound
         } else {
-            self.epsilon
+            epsilon
         };
         self.certificate = Certificate::ResidualMass {
             remaining: rr.residual_mass,
@@ -615,10 +665,290 @@ impl AnswerEntry {
         self.vector = rr.vector;
         self.residuals = rr.residuals;
     }
+
+    /// Carry this entry across `delta`, the net change from the graph
+    /// it is certified at to the head graph `g`, in place. A write
+    /// costs what it disturbed: the entry is first asked whether the
+    /// delta can change it at all ([`delta_leaves_undisturbed`] — a
+    /// few binary searches per endpoint). An undisturbed entry keeps
+    /// its vector, residuals and allocation, and its certificate with
+    /// the bound raised to cover an endpoint whose degree dropped under
+    /// a parked residual (still `< ε`, still true on `g`); no
+    /// certificate event is issued for it. Only a disturbed entry
+    /// reaches `ppr_repair` and gets a freshly measured certificate. A
+    /// splice-born entry, or one the kernel rejects, is `Dropped` — the
+    /// caller removes it. The caller restamps the epoch.
+    fn catch_up(
+        &mut self,
+        key: &AnswerKey,
+        delta: &[EdgeDelta],
+        g: &Graph,
+        trace: &mut Diagnostics,
+    ) -> CatchUp {
+        // A splice-born answer stores no residual vector but certifies
+        // nonzero remaining mass: the invariant cannot be
+        // re-established from what was kept.
+        if self.is_splice_born() {
+            return CatchUp::Dropped;
+        }
+        let (alpha, epsilon) = (f64::from_bits(key.1), f64::from_bits(key.2));
+        let endpoints = delta_endpoints(delta);
+        if let Some(endpoint_bound) =
+            delta_leaves_undisturbed(g, &self.vector, &self.residuals, &endpoints, epsilon)
+        {
+            if let Certificate::ResidualMass {
+                per_degree_bound, ..
+            } = &mut self.certificate
+            {
+                *per_degree_bound = per_degree_bound.max(endpoint_bound);
+            }
+            return CatchUp::Revalidated;
+        }
+        let req = RepairRequest {
+            seeds: &self.seeds,
+            estimate: &self.vector,
+            residual: &self.residuals,
+            delta,
+            alpha,
+            epsilon,
+            mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
+        };
+        match ppr_repair(g, &req) {
+            Ok(rr) => {
+                let outcome = if rr.pushes == 0 && rr.repaired {
+                    CatchUp::Revalidated
+                } else {
+                    CatchUp::Repaired
+                };
+                self.adopt(rr, epsilon, trace);
+                outcome
+            }
+            Err(e) => {
+                trace.note(format!("cached answer unrepairable ({e}); dropped"));
+                CatchUp::Dropped
+            }
+        }
+    }
+}
+
+/// What a catch-up did to one behind answer-cache entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CatchUp {
+    /// Still certified as it was (see [`EngineStats::answers_revalidated`]).
+    Revalidated,
+    /// Reflowed by the repair kernel.
+    Repaired,
+    /// Unrepairable: removed, so the request computes afresh.
+    Dropped,
+}
+
+impl CatchUp {
+    /// The request stage a caught-up probe records.
+    fn stage(self) -> &'static str {
+        match self {
+            CatchUp::Revalidated => "cache_catch_up:revalidated",
+            CatchUp::Repaired => "cache_catch_up:repaired",
+            CatchUp::Dropped => "cache_catch_up:dropped",
+        }
+    }
+}
+
+/// The net delta of every write since the last compaction or root swap
+/// that a live answer-cache entry has not caught up with, and the live
+/// entries per certified epoch that decide which writes those are.
+#[derive(Debug)]
+struct WriteLog {
+    /// `(epoch the write published, its net delta)`, oldest first,
+    /// trimmed to the writes after the oldest live entry's epoch.
+    records: VecDeque<(u64, Vec<EdgeDelta>)>,
+    /// Live entries per certified epoch, `base` first: the front is
+    /// never zero, so it is the oldest live epoch and trimming never
+    /// visits an entry. Reserved up front, so a cache that sees no
+    /// write never allocates here.
+    live: VecDeque<usize>,
+    /// The epoch `live[0]` counts.
+    base: u64,
+}
+
+impl WriteLog {
+    fn new() -> Self {
+        Self {
+            records: VecDeque::new(),
+            live: VecDeque::with_capacity(4),
+            base: 0,
+        }
+    }
+
+    /// An entry certified at `epoch` arrived. Entries arrive at the
+    /// head, never before the oldest live epoch.
+    fn enter(&mut self, epoch: u64) {
+        if self.live.is_empty() {
+            self.base = epoch;
+        }
+        let at = (epoch - self.base) as usize;
+        if at >= self.live.len() {
+            self.live.resize(at + 1, 0);
+        }
+        self.live[at] += 1;
+    }
+
+    /// An entry certified at `epoch` left (or moved on); drop the
+    /// records no live entry needs any more.
+    fn leave(&mut self, epoch: u64) {
+        self.live[(epoch - self.base) as usize] -= 1;
+        while self.live.front() == Some(&0) {
+            self.live.pop_front();
+            self.base += 1;
+        }
+        if self.live.is_empty() {
+            self.records.clear();
+        }
+        while self.records.front().is_some_and(|r| r.0 <= self.base) {
+            self.records.pop_front();
+        }
+    }
+
+    /// Log a write that published `epoch`, unless no live entry will
+    /// ever need it (entries cached later start at or past it).
+    fn record(&mut self, epoch: u64, delta: Vec<EdgeDelta>) {
+        if !self.live.is_empty() {
+            self.records.push_back((epoch, delta));
+        }
+    }
+
+    /// The net delta from the graph at `epoch` to the head: one record
+    /// as it is, several composed.
+    fn since(&self, epoch: u64) -> Cow<'_, [EdgeDelta]> {
+        let first = self.records.partition_point(|r| r.0 <= epoch);
+        if first + 1 == self.records.len() {
+            Cow::Borrowed(&self.records[first].1)
+        } else {
+            Cow::Owned(compose_net_deltas(
+                self.records.range(first..).map(|r| r.1.as_slice()),
+            ))
+        }
+    }
+
+    /// Start over at `epoch` with `entries` live entries, all certified
+    /// there (after a catch-up or a compaction), keeping the capacity.
+    fn restart(&mut self, epoch: u64, entries: usize) {
+        self.records.clear();
+        self.live.clear();
+        self.base = epoch;
+        if entries > 0 {
+            self.live.push_back(entries);
+        }
+    }
+}
+
+/// The answer cache: exact `(seeds, α, ε)` repeats with FIFO eviction,
+/// each entry tagged with the epoch it is certified at, beside the
+/// [`WriteLog`] that carries a behind entry to the head. A write never
+/// visits an entry; it appends one record ([`AnswerCache::record`]).
+#[derive(Debug)]
+struct AnswerCache {
+    entries: FifoMap<AnswerKey, AnswerEntry>,
+    log: WriteLog,
+}
+
+impl AnswerCache {
+    fn new(cap: usize) -> Self {
+        Self {
+            entries: FifoMap::new(cap),
+            log: WriteLog::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn get(&self, key: &AnswerKey) -> Option<&AnswerEntry> {
+        self.entries.get(key)
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.log.restart(0, 0);
+    }
+
+    fn insert(&mut self, key: AnswerKey, entry: AnswerEntry) {
+        self.log.enter(entry.epoch);
+        let log = &mut self.log;
+        self.entries
+            .insert(key, entry, |gone| log.leave(gone.epoch));
+    }
+
+    fn oldest(&self) -> Option<&AnswerEntry> {
+        self.entries.oldest()
+    }
+
+    fn pop_oldest(&mut self) {
+        if let Some((_, gone)) = self.entries.pop_oldest() {
+            self.log.leave(gone.epoch);
+        }
+    }
+
+    fn record(&mut self, epoch: u64, delta: Vec<EdgeDelta>) {
+        self.log.record(epoch, delta);
+    }
+
+    /// Catch the entry under `key` up to the head (`g` at epoch
+    /// `head`), in place, if it is behind; `None` if it is absent or
+    /// already current. A dropped entry is removed.
+    fn catch_up(
+        &mut self,
+        key: &AnswerKey,
+        g: &Graph,
+        head: u64,
+        trace: &mut Diagnostics,
+    ) -> Option<CatchUp> {
+        let entry = self.entries.get_mut(key).filter(|e| e.epoch < head)?;
+        let outcome = entry.catch_up(key, &self.log.since(entry.epoch), g, trace);
+        let from = std::mem::replace(&mut entry.epoch, head);
+        if outcome == CatchUp::Dropped {
+            self.entries.remove(key);
+        } else {
+            self.log.enter(head);
+        }
+        self.log.leave(from);
+        Some(outcome)
+    }
+
+    /// Catch every behind entry up to the head, oldest-first, in place
+    /// (deterministic; eviction order is preserved).
+    fn catch_up_all(
+        &mut self,
+        g: &Graph,
+        head: u64,
+        trace: &mut Diagnostics,
+        stats: &mut EngineStats,
+    ) {
+        let Self { entries, log } = self;
+        entries.retain_mut(|key, entry| {
+            if entry.epoch == head {
+                return true;
+            }
+            let delta = log.since(entry.epoch);
+            let outcome = entry.catch_up(key, &delta, g, trace);
+            stats.tally(outcome);
+            entry.epoch = head;
+            outcome != CatchUp::Dropped
+        });
+        log.restart(head, entries.len());
+    }
 }
 
 /// What one [`Engine::update_graph_delta`] call did to the engine's
 /// derived state. All counters are exact and deterministic.
+///
+/// A write no longer visits the answer cache — entries catch up when a
+/// probe next hits them — so the three `answers_*` fields always read
+/// `0` and `repair_pushes`/`repair_work` count sketch repair only. The
+/// fields stay so existing readers keep compiling; the answer counts
+/// live in [`EngineStats::answers_revalidated`],
+/// [`EngineStats::answers_repaired`] and
+/// [`EngineStats::answers_dropped`], fed by the catch-ups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaSummary {
     /// The epoch after the delta (unchanged if the delta was a no-op).
@@ -636,20 +966,17 @@ pub struct DeltaSummary {
     /// repaired (amortized cadence, injected repair fault, or a repair
     /// error).
     pub sketches_rebuilt: bool,
-    /// Cached answers whose invariant survived the delta: undisturbed
-    /// (the delta cannot change them — kept in place, vector, residual
-    /// and allocation untouched, without calling the repair kernel) or
-    /// zero-push (the kernel absorbed a correction without reflowing).
+    /// Always `0`: a write visits no cached answer (see
+    /// [`EngineStats::answers_revalidated`]).
     pub answers_revalidated: usize,
-    /// Cached answers reflowed by the repair kernel.
+    /// Always `0` (see [`EngineStats::answers_repaired`]).
     pub answers_repaired: usize,
-    /// Cached answers dropped as unrepairable (splice-born entries,
-    /// degenerate deltas, or repair errors).
+    /// Always `0` (see [`EngineStats::answers_dropped`]).
     pub answers_dropped: usize,
-    /// Fresh pushes spent repairing sketches and answers — the
-    /// repair-vs-rebuild gate numerator.
+    /// Fresh pushes spent repairing sketches — the repair-vs-rebuild
+    /// gate numerator.
     pub repair_pushes: usize,
-    /// Fresh edge traversals spent repairing sketches and answers.
+    /// Fresh edge traversals spent repairing sketches.
     pub repair_work: usize,
 }
 
@@ -700,9 +1027,10 @@ pub struct Engine {
     /// `(seeds, α)` in external ids, served across epochs as `Stale`.
     cache: FifoMap<CacheKey, CacheEntry>,
     /// Answer-cache payloads live in the *head snapshot's internal* id
-    /// space and are kept synchronized with the head across deltas
-    /// (repair) and compactions (relabel); keys carry external seeds.
-    answers: FifoMap<AnswerKey, AnswerEntry>,
+    /// space (a compaction relabels them) and each is certified at the
+    /// epoch it records, caught up to the head across deltas when a
+    /// probe hits it; keys carry external seeds.
+    answers: AnswerCache,
     /// The hub-sketch store, `Arc`-shared so each admission pins the
     /// store alongside its snapshot: a rebuild, repair, or relabel
     /// publishes a *new* store and in-flight requests keep splicing
@@ -728,7 +1056,7 @@ impl Engine {
         let available = cfg.capacity;
         let snapshots = SnapshotStore::new(g);
         let head = snapshots.pin();
-        let answers = FifoMap::new(cfg.answer_cache_cap);
+        let answers = AnswerCache::new(cfg.answer_cache_cap);
         let mut engine = Self {
             snapshots,
             head,
@@ -841,7 +1169,9 @@ impl Engine {
 
     /// Apply an edge delta to the serving graph *in place*: compact the
     /// overlay into a fresh CSR, bump the epoch, and **repair** the
-    /// derived state instead of discarding it.
+    /// derived state instead of discarding it. The write costs
+    /// `O(delta)` plus the CSR copy and the sketch repair — never a
+    /// pass over the answer cache.
     ///
     /// * Hub sketches the delta disturbs (estimate mass on an endpoint,
     ///   or an endpoint whose new degree no longer covers its parked
@@ -849,14 +1179,17 @@ impl Engine {
     ///   carry over verbatim. Every `cfg.resketch_after` deltas (and on
     ///   an injected repair fault, or any repair error) the set is
     ///   rebuilt from scratch instead.
-    /// * Cached answers are judged by the same predicate, in place:
-    ///   undisturbed entries are kept untouched (certificate bound
-    ///   raised where an endpoint's degree dropped under a parked
-    ///   residual), disturbed ones are repaired under the same kernel,
-    ///   each re-issued certificate carrying the *measured* post-repair
-    ///   residual mass. Keys are epoch-less, so nothing is re-keyed.
-    ///   Unrepairable entries (splice-born answers with no stored
-    ///   residual, degenerate column swaps) are dropped, never served.
+    /// * Cached answers are not visited: the net delta is appended to
+    ///   the answer cache's write log, and each entry stays certified
+    ///   at the epoch it records. The next probe that hits an entry
+    ///   behind the head catches it up in place against the composed
+    ///   delta of the writes it missed — the same predicate and the
+    ///   same kernel, so an entry one write behind gets exactly what an
+    ///   eager repair would have given it: kept (bound raised where an
+    ///   endpoint's degree dropped under a parked residual), repaired
+    ///   with a *measured* certificate, or — splice-born, degenerate —
+    ///   dropped and recomputed, never served. The counts land in
+    ///   [`EngineStats`], not in the returned [`DeltaSummary`].
     ///
     /// The delta is atomic: `ops` are validated against an overlay
     /// before any engine state changes, so a rejected op leaves the
@@ -959,91 +1292,9 @@ impl Engine {
             }
         }
 
-        self.repair_answers(&delta, &mut summary);
+        self.answers.record(epoch, delta);
         self.trim_trace();
         Ok(summary)
-    }
-
-    /// Carry the answer cache across `delta`, in place and oldest-first
-    /// (deterministic; eviction order is preserved). A write costs what
-    /// it disturbed: each entry is first asked whether the delta can
-    /// change it at all ([`delta_leaves_undisturbed`] — a few binary
-    /// searches per endpoint). The undisturbed majority keeps its
-    /// vector, residuals and allocation, and its certificate with the
-    /// bound raised to cover an endpoint whose degree dropped under a
-    /// parked residual (still `< ε`, still true on the new graph); no
-    /// certificate event is issued for it. Only disturbed entries reach
-    /// `ppr_repair` and get a freshly measured certificate.
-    fn repair_answers(&mut self, delta: &[EdgeDelta], summary: &mut DeltaSummary) {
-        let Self {
-            answers,
-            head,
-            trace,
-            ..
-        } = self;
-        let g = head.graph();
-        let endpoints = delta_endpoints(delta);
-        answers.retain_mut(|key, entry| {
-            // A splice-born answer stores no residual vector but
-            // certifies nonzero remaining mass: the invariant cannot be
-            // re-established from what we kept. Drop it.
-            if entry.is_splice_born() {
-                summary.answers_dropped += 1;
-                return false;
-            }
-            if let Some(endpoint_bound) = delta_leaves_undisturbed(
-                g,
-                &entry.vector,
-                &entry.residuals,
-                &endpoints,
-                entry.epsilon,
-            ) {
-                if let Certificate::ResidualMass {
-                    per_degree_bound, ..
-                } = &mut entry.certificate
-                {
-                    *per_degree_bound = per_degree_bound.max(endpoint_bound);
-                }
-                summary.answers_revalidated += 1;
-                return true;
-            }
-            let req = RepairRequest {
-                seeds: &entry.seeds,
-                estimate: &entry.vector,
-                residual: &entry.residuals,
-                delta,
-                alpha: f64::from_bits(key.1),
-                epsilon: entry.epsilon,
-                mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
-            };
-            match ppr_repair(g, &req) {
-                Ok(rr) => {
-                    if rr.pushes == 0 && rr.repaired {
-                        summary.answers_revalidated += 1;
-                    } else {
-                        summary.answers_repaired += 1;
-                    }
-                    summary.repair_pushes += rr.pushes;
-                    summary.repair_work += rr.work;
-                    entry.adopt(rr, trace);
-                    true
-                }
-                Err(e) => {
-                    trace.note(format!("cached answer unrepairable ({e}); dropped"));
-                    summary.answers_dropped += 1;
-                    false
-                }
-            }
-        });
-        if summary.answers_revalidated + summary.answers_repaired + summary.answers_dropped > 0 {
-            self.trace.note(format!(
-                "answer cache: {} revalidated, {} repaired, {} dropped (epoch {})",
-                summary.answers_revalidated,
-                summary.answers_repaired,
-                summary.answers_dropped,
-                self.head.epoch()
-            ));
-        }
     }
 
     /// Publish a compacted snapshot of the current head under `order`,
@@ -1053,11 +1304,13 @@ impl Engine {
     /// * hub sketches are relabeled in place (`relabel_sketch_set`) and
     ///   restamped — a permutation permutes a diffusion, it does not
     ///   change it, so not a single push is spent;
-    /// * cached answers are routed through the permutation by the
+    /// * cached answers behind the head are first caught up to it
+    ///   (exactly as a probe would, counted in [`EngineStats`]), then
+    ///   every entry is routed through the permutation by the
     ///   relabel-aware repair kernel (`ppr_repair_relabeled` with an
     ///   empty delta), in place, and re-issued a
     ///   **freshly measured** `ResidualMass` certificate against the
-    ///   relabeled graph.
+    ///   relabeled graph; the write log starts over.
     ///
     /// In-flight requests pinned to the pre-compaction snapshot are
     /// unaffected: their snapshot (and its id space) stays alive until
@@ -1065,6 +1318,7 @@ impl Engine {
     /// publishes an identity step — everything above degenerates to
     /// re-measuring each certificate on an unchanged labeling.
     pub fn compact(&mut self, order: CompactionOrder) -> Result<CompactionSummary, String> {
+        self.catch_up_answers();
         let (new_graph, step) = {
             let base = Arc::clone(&self.head);
             let dg = DeltaGraph::new(base.graph());
@@ -1087,9 +1341,11 @@ impl Engine {
         ));
 
         if let Some(store) = self.sketches.take() {
-            let relabeled = store
-                .relabel(&step, epoch)
-                .map_err(|e| format!("sketch relabel failed: {e}"))?;
+            let relabeled = store.relabel(&step, epoch).map_err(|e| {
+                // The answers would stay in the old labeling: drop them.
+                self.answers.clear();
+                format!("sketch relabel failed: {e}")
+            })?;
             summary.sketches_relabeled = relabeled.len();
             self.trace.note(format!(
                 "hub sketches relabeled: {} carried through the permutation (epoch {epoch})",
@@ -1101,6 +1357,26 @@ impl Engine {
         self.relabel_answers(&step, &mut summary);
         self.trim_trace();
         Ok(summary)
+    }
+
+    /// Catch every answer-cache entry behind the head up to it (see
+    /// [`AnswerEntry::catch_up`]), noting the tally in the trail.
+    fn catch_up_answers(&mut self) {
+        let before = self.stats.clone();
+        let head = self.head.epoch();
+        self.answers
+            .catch_up_all(self.head.graph(), head, &mut self.trace, &mut self.stats);
+        let (revalidated, repaired, dropped) = (
+            self.stats.answers_revalidated - before.answers_revalidated,
+            self.stats.answers_repaired - before.answers_repaired,
+            self.stats.answers_dropped - before.answers_dropped,
+        );
+        if revalidated + repaired + dropped > 0 {
+            self.trace.note(format!(
+                "answer cache caught up: {revalidated} revalidated, {repaired} repaired, \
+                 {dropped} dropped (epoch {head})"
+            ));
+        }
     }
 
     /// Route every answer-cache entry through a compaction `step`, in
@@ -1119,7 +1395,8 @@ impl Engine {
             ..
         } = self;
         let g = head.graph();
-        answers.retain_mut(|key, entry| {
+        answers.entries.retain_mut(|key, entry| {
+            entry.epoch = head.epoch();
             if entry.is_splice_born() {
                 entry.vector = step.map_sparse(&entry.vector);
             } else {
@@ -1129,11 +1406,11 @@ impl Engine {
                     residual: &entry.residuals,
                     delta: &[],
                     alpha: f64::from_bits(key.1),
-                    epsilon: entry.epsilon,
+                    epsilon: f64::from_bits(key.2),
                     mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
                 };
                 match ppr_repair_relabeled(g, &req, step) {
-                    Ok(rr) => entry.adopt(rr, trace),
+                    Ok(rr) => entry.adopt(rr, f64::from_bits(key.2), trace),
                     Err(e) => {
                         trace.note(format!("cached answer unrelabelable ({e}); dropped"));
                         summary.answers_dropped += 1;
@@ -1145,6 +1422,7 @@ impl Engine {
             summary.answers_relabeled += 1;
             true
         });
+        answers.log.restart(head.epoch(), answers.len());
         if summary.answers_relabeled + summary.answers_dropped > 0 {
             self.trace.note(format!(
                 "answer cache: {} relabeled, {} dropped (epoch {})",
@@ -1460,19 +1738,30 @@ impl Engine {
             // Full answer, asked by a request pinned to the head —
             // served without compute (and without consulting the
             // deadline; a cache hit is free). Sits above the Stale
-            // rung: the cache is head-synchronized and its keys are
-            // epoch-less, so the pinned-epoch check *is* the
-            // consistency protocol — a request pinned before a write
-            // never probes, and a pre-mutation answer can never
-            // surface here.
-            let hit = (p.epoch() == self.head.epoch())
-                .then(|| answer_key(&p.query.seeds, p.query.alpha, p.query.epsilon))
-                .and_then(|key| self.answers.get(&key));
+            // rung. Only a request pinned to the head probes, and an
+            // entry behind the head is caught up to it first (or
+            // dropped, and the request computes), so the pinned-epoch
+            // check *is* the consistency protocol — a request pinned
+            // before a write never probes, and a pre-mutation answer
+            // can never surface here.
+            let key = (p.epoch() == self.head.epoch())
+                .then(|| answer_key(&p.query.seeds, p.query.alpha, p.query.epsilon));
+            if let Some(key) = &key {
+                let head = self.head.epoch();
+                let caught_up =
+                    self.answers
+                        .catch_up(key, self.head.graph(), head, &mut self.trace);
+                if let Some(outcome) = caught_up {
+                    self.stats.tally(outcome);
+                    self.trace.request_stage(p.id, outcome.stage());
+                }
+            }
+            let hit = key.and_then(|key| self.answers.get(&key));
             if let Some(entry) = hit {
                 // Copy what is served — not the residuals and seeds the
-                // entry keeps for repair.
+                // entry keeps for repair. The key matched the query's ε.
                 let (vector, epsilon, certificate) =
-                    (entry.vector.clone(), entry.epsilon, entry.certificate);
+                    (entry.vector.clone(), p.query.epsilon, entry.certificate);
                 self.trace.request_stage(p.id, "cache_hit");
                 let sweep = self.sweep_stage(&p, &vector);
                 let cluster = externalize(&p.snapshot, vector);
@@ -1683,13 +1972,14 @@ impl Engine {
                 };
                 let sweep = self.sweep_stage(&p, &value.vector);
                 // Exact-repeat cache, keyed by the ε the answer
-                // satisfies (== requested for Full responses). The
-                // residual vector rides along so an edge delta can
-                // repair the entry instead of purging it. Payloads are
-                // stored in head-internal coordinates, so only answers
-                // computed against the current head may enter — a
-                // response from a superseded snapshot is still served
-                // in full, it just isn't cached.
+                // satisfies (== requested for Full responses), tagged
+                // with the head epoch. The residual vector rides along
+                // so a later catch-up can repair the entry instead of
+                // purging it. Payloads are stored in head-internal
+                // coordinates, so only answers computed against the
+                // current head may enter — a response from a
+                // superseded snapshot is still served in full, it just
+                // isn't cached.
                 if p.epoch() == self.head.epoch() {
                     let key = answer_key(&p.query.seeds, p.query.alpha, eps_used);
                     let seeds = if p.snapshot.is_relabeled() {
@@ -1700,7 +1990,7 @@ impl Engine {
                     self.cache_answer(
                         key,
                         AnswerEntry {
-                            epsilon: eps_used,
+                            epoch: p.epoch(),
                             vector: value.vector.clone(),
                             certificate,
                             seeds,
@@ -1718,6 +2008,7 @@ impl Engine {
                         vector: external.clone(),
                         certificate,
                     },
+                    drop,
                 );
                 let kind = if eps_used > p.query.epsilon {
                     ResponseKind::Coarsened
@@ -2628,14 +2919,26 @@ mod tests {
         assert_eq!(s.epoch, 1);
         assert_eq!(e.epoch(), 1);
         assert_eq!(s.edges, 1);
-        assert_eq!(s.answers_revalidated + s.answers_repaired, 1);
-        assert_eq!(s.answers_dropped, 0);
-        // The entry survived the delta and follows the head: an
-        // exact repeat is a cache hit, not a recompute.
+        // The write itself visits no cached answer.
+        assert_eq!(
+            (s.answers_revalidated, s.answers_repaired, s.answers_dropped),
+            (0, 0, 0)
+        );
+        // The entry survived the delta and is caught up to the head by
+        // the probe: an exact repeat is a cache hit, not a recompute.
         assert_eq!(e.answer_cache_len(), 1);
+        let before_probe = e.stats().clone();
         assert!(e.submit(query(&[0])).is_accepted());
         let after = e.run_pending().remove(0);
         assert_eq!(after.kind, ResponseKind::Cached);
+        let st = e.stats();
+        assert_eq!(
+            st.answers_revalidated + st.answers_repaired
+                - before_probe.answers_revalidated
+                - before_probe.answers_repaired,
+            1
+        );
+        assert_eq!(st.answers_dropped, before_probe.answers_dropped);
         // The repaired answer satisfies the requested ε on the *new*
         // graph: compare to a fresh push.
         let fresh = acir_local::ppr_push(e.graph(), &[0], 0.1, 1e-2).unwrap();
@@ -2650,6 +2953,168 @@ mod tests {
                 "node {u}: repaired {a} vs fresh {b}"
             );
         }
+    }
+
+    /// A catch-up one write behind is the eager repair the write used
+    /// to run, bit for bit: the predicate on the head graph, then — for
+    /// a disturbed entry only — `ppr_repair` against the write's net
+    /// delta, its state and measured certificate adopted.
+    #[test]
+    fn a_catch_up_one_write_behind_is_the_eager_repair_bit_for_bit() {
+        let g = barbell(8, 3).unwrap();
+        let mut e = Engine::new(g.clone(), EngineConfig::default());
+        let seeds: [NodeId; 3] = [0, 9, 18];
+        for s in seeds {
+            assert!(e.submit(query(&[s])).is_accepted());
+            assert_eq!(e.run_pending()[0].kind, ResponseKind::Full);
+        }
+        let key = |s: NodeId| answer_key(&[s], 0.1, 1e-2);
+        let priors: Vec<AnswerEntry> = seeds
+            .iter()
+            .map(|&s| e.answers.get(&key(s)).unwrap().clone())
+            .collect();
+        let ops = [EdgeOp::Insert {
+            u: 0,
+            v: 1,
+            weight: 2.0,
+        }];
+        let delta = {
+            let mut dg = DeltaGraph::new(&g);
+            dg.apply(&ops[0]).unwrap();
+            dg.net_delta()
+        };
+        e.update_graph_delta(&ops).unwrap();
+        // The write left every entry as it was, at the old epoch.
+        for (s, prior) in seeds.iter().zip(&priors) {
+            let entry = e.answers.get(&key(*s)).unwrap();
+            assert_eq!((entry.epoch, &entry.vector), (0, &prior.vector));
+        }
+
+        let bits = |v: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+            v.iter().map(|&(u, x)| (u, x.to_bits())).collect()
+        };
+        let bound = |c: &Certificate| match *c {
+            Certificate::ResidualMass {
+                remaining,
+                per_degree_bound,
+            } => (remaining.to_bits(), per_degree_bound.to_bits()),
+            _ => panic!("not a residual-mass certificate"),
+        };
+        let endpoints = delta_endpoints(&delta);
+        let mut verdicts = (0, 0);
+        for (s, prior) in seeds.iter().zip(&priors) {
+            let mut want = prior.clone();
+            match delta_leaves_undisturbed(
+                e.graph(),
+                &prior.vector,
+                &prior.residuals,
+                &endpoints,
+                1e-2,
+            ) {
+                Some(endpoint_bound) => {
+                    verdicts.0 += 1;
+                    if let Certificate::ResidualMass {
+                        per_degree_bound, ..
+                    } = &mut want.certificate
+                    {
+                        *per_degree_bound = per_degree_bound.max(endpoint_bound);
+                    }
+                }
+                None => {
+                    verdicts.1 += 1;
+                    let rr = ppr_repair(
+                        e.graph(),
+                        &RepairRequest {
+                            seeds: &prior.seeds,
+                            estimate: &prior.vector,
+                            residual: &prior.residuals,
+                            delta: &delta,
+                            alpha: 0.1,
+                            epsilon: 1e-2,
+                            mass_threshold: DEFAULT_REPAIR_MASS_THRESHOLD,
+                        },
+                    )
+                    .unwrap();
+                    want.adopt(rr, 1e-2, &mut Diagnostics::new());
+                }
+            }
+            assert!(e.submit(query(&[*s])).is_accepted());
+            assert_eq!(e.run_pending()[0].kind, ResponseKind::Cached);
+            let got = e.answers.get(&key(*s)).unwrap();
+            assert_eq!(got.epoch, 1);
+            assert_eq!(bits(&got.vector), bits(&want.vector), "seed {s}");
+            assert_eq!(bits(&got.residuals), bits(&want.residuals), "seed {s}");
+            assert_eq!(
+                bound(&got.certificate),
+                bound(&want.certificate),
+                "seed {s}"
+            );
+        }
+        assert!(verdicts.0 > 0 && verdicts.1 > 0, "verdicts {verdicts:?}");
+    }
+
+    /// The write log holds exactly the writes some live entry has not
+    /// caught up with, and its per-epoch counts track every way an
+    /// entry comes and goes: insert, overwrite, FIFO eviction, catch-up,
+    /// compaction and root swap.
+    #[test]
+    fn the_write_log_keeps_only_what_a_live_entry_still_needs() {
+        let g = barbell(8, 3).unwrap();
+        let mut e = Engine::new(
+            g,
+            EngineConfig {
+                answer_cache_cap: 3,
+                ..EngineConfig::default()
+            },
+        );
+        let logged = |e: &Engine| -> Vec<u64> {
+            let log = &e.answers.log;
+            assert_eq!(log.live.iter().sum::<usize>(), e.answer_cache_len());
+            log.records.iter().map(|r| r.0).collect()
+        };
+        let ask = |e: &mut Engine, s: NodeId| {
+            assert!(e.submit(query(&[s])).is_accepted());
+            e.run_pending().remove(0).kind
+        };
+        let write = |e: &mut Engine, u: NodeId, v: NodeId| {
+            e.update_graph_delta(&[EdgeOp::Insert { u, v, weight: 1.5 }])
+                .unwrap();
+        };
+        // No entry: a write is not logged.
+        write(&mut e, 12, 14);
+        assert!(logged(&e).is_empty());
+        assert_eq!(ask(&mut e, 0), ResponseKind::Full);
+        assert_eq!(ask(&mut e, 18), ResponseKind::Full);
+        write(&mut e, 13, 15);
+        write(&mut e, 0, 2);
+        assert_eq!(logged(&e), vec![2, 3]);
+        // Seed 0 catches up over both writes; seed 18 still needs them.
+        assert_eq!(ask(&mut e, 0), ResponseKind::Cached);
+        assert_eq!(logged(&e), vec![2, 3]);
+        assert_eq!(ask(&mut e, 18), ResponseKind::Cached);
+        assert!(logged(&e).is_empty());
+        // A third and fourth entry: the cap evicts seed 0, the oldest.
+        write(&mut e, 12, 16);
+        assert_eq!(ask(&mut e, 9), ResponseKind::Full);
+        assert_eq!(logged(&e), vec![4]);
+        assert_eq!(ask(&mut e, 10), ResponseKind::Full);
+        assert_eq!(e.answer_cache_len(), 3);
+        assert!(e.answers.get(&answer_key(&[0], 0.1, 1e-2)).is_none());
+        assert_eq!(logged(&e), vec![4], "seed 18 still needs epoch 4");
+        // A compaction catches seed 18 up, relabels all, and restarts.
+        write(&mut e, 13, 17);
+        let before = e.stats().answers_revalidated + e.stats().answers_repaired;
+        e.compact(CompactionOrder::Rcm).unwrap();
+        let after = e.stats().answers_revalidated + e.stats().answers_repaired;
+        assert_eq!(after - before, 3, "18 over two writes, 9 and 10 over one");
+        assert!(logged(&e).is_empty());
+        assert_eq!((e.answers.log.base, e.answers.log.live.len()), (6, 1));
+        // A root swap clears entries and log alike.
+        write(&mut e, 1, 3);
+        assert_eq!(logged(&e), vec![7]);
+        e.update_graph(barbell(8, 3).unwrap());
+        assert_eq!(e.answer_cache_len(), 0);
+        assert!(logged(&e).is_empty() && e.answers.log.live.is_empty());
     }
 
     #[test]

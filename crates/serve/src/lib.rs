@@ -52,12 +52,13 @@
 //!   rebuilt on every [`Engine::update_graph`], so a stale sketch is
 //!   never consulted.
 //! * **Answer caching** — exact repeats keyed by `(seeds, α, ε)` are
-//!   served from a head-synchronized answer cache as
+//!   served from an epoch-tagged answer cache as
 //!   [`ResponseKind::Cached`] — a non-degraded rung above `Stale`,
 //!   since the cached certificate holds on the current graph. The key
-//!   is epoch-less: every write carries every entry to the new head
-//!   or drops it, and a request hits only when the epoch it pinned is
-//!   the head's. Full graph swaps invalidate the whole
+//!   is epoch-less: each entry records the epoch it is certified at,
+//!   a request hits only when the epoch it pinned is the head's, and
+//!   an entry behind the head is caught up to it at that probe (or
+//!   dropped and recomputed). Full graph swaps invalidate the whole
 //!   cache; the older `(seeds, α)` stale cache survives swaps but
 //!   labels its answers with the epoch they were certified against
 //!   (`Certificate::StaleResidualMass`) and holds a fixed 4,096 keys,
@@ -68,10 +69,13 @@
 //!   mutations that arrive as an [`acir_graph::EdgeOp`] stream are
 //!   applied through a [`acir_graph::DeltaGraph`] overlay and
 //!   compacted into a fresh CSR, and the derived state is *repaired*,
-//!   not discarded, and a write costs what it disturbed: compaction
-//!   splices the touched rows into a block copy of the CSR, and each
-//!   hub sketch and cached answer is first asked whether the delta can
-//!   change it (`acir_local::repair::delta_leaves_undisturbed`). The
+//!   not discarded, and a write costs what it changed: compaction
+//!   splices the touched rows into a block copy of the CSR, each hub
+//!   sketch is first asked whether the delta can change it
+//!   (`acir_local::repair::delta_leaves_undisturbed`), and the write
+//!   appends its net delta to the answer cache's log without visiting
+//!   an entry. A cached answer is asked the same question at its next
+//!   probe, against the composed delta of the writes it missed. The
 //!   undisturbed majority is kept in place; the rest is reflowed by
 //!   `acir_local::repair` with re-measured certificates, and anything
 //!   unrepairable is dropped.

@@ -10,8 +10,9 @@
 //! served by the engine costs a constant number of heap events, not
 //! one per push. The write path is held to the same shape: compacting
 //! an overlay allocates a fixed handful of vectors however many rows
-//! it touches, and a delta that disturbs no cached answer costs the
-//! same whether 64 or 1,024 answers are cached.
+//! it touches, and a delta costs the same whether 64 or 1,024 answers
+//! are cached — one that disturbs none of them, and one that disturbs
+//! every one: a write visits no cached answer at all.
 //!
 //! The counters are process-global, so every measurement lives in ONE
 //! `#[test]` — a concurrent test's allocations would otherwise bleed
@@ -223,58 +224,92 @@ fn steady_state_allocation_budgets() {
         "compact() of a 16-row overlay: {eight_ops:?}"
     );
 
-    // --- One write that disturbs no cached answer costs the same
-    // number of heap events whether 64 or 1,024 answers are cached:
-    // undisturbed entries are judged in place — no repair output, no
-    // re-keyed insert, no second map. (The minimum over three deltas
-    // is the steady cost; the engine trail's vector doubles now and
-    // then at a point that depends on how many requests came before.)
-    let write_events = |cached: NodeId| {
-        let ring = gen::deterministic::ring_of_cliques(220, 10).unwrap();
-        let mut engine = Engine::new(
-            ring,
-            EngineConfig {
-                capacity: 64 * 1_000_000,
-                refill_per_cycle: 64 * 1_000_000,
-                answer_cache_cap: 2048,
-                ..EngineConfig::default()
-            },
-        );
-        for seed in 0..cached {
-            let q = Query {
-                seeds: vec![seed],
+    // --- One write costs the same number of heap events whether 64 or
+    // 1,024 answers are cached, whether it disturbs none of them or all
+    // of them: the write visits no entry — no predicate, no repair
+    // output, no re-keyed insert, no second map; the entries catch up
+    // when probed. (The minimum over three deltas is the steady cost;
+    // the engine trail's vector doubles now and then at a point that
+    // depends on how many requests came before.) Each case then probes
+    // one entry to show the write really did leave work behind.
+    let write_events =
+        |cached: NodeId, seeds_of: fn(NodeId) -> Vec<NodeId>, (u, v): (NodeId, NodeId)| {
+            let ring = gen::deterministic::ring_of_cliques(220, 10).unwrap();
+            let mut engine = Engine::new(
+                ring,
+                EngineConfig {
+                    capacity: 64 * 1_000_000,
+                    refill_per_cycle: 64 * 1_000_000,
+                    answer_cache_cap: 2048,
+                    ..EngineConfig::default()
+                },
+            );
+            let query = |k: NodeId| Query {
+                seeds: seeds_of(k),
                 alpha: 0.2,
                 epsilon: 1e-3,
                 deadline: None,
                 options: QueryOptions::default(),
             };
-            assert!(engine.submit(q).is_accepted());
-            assert_eq!(engine.run_pending()[0].kind, ResponseKind::Full);
-        }
-        assert_eq!(engine.answer_cache_len(), cached as usize);
-        (2..5)
-            .map(|weight| {
-                // Clique 160 is far from every seed's diffusion.
-                let op = EdgeOp::Insert {
-                    u: 1600,
-                    v: 1605,
-                    weight: f64::from(weight),
-                };
-                let before = acir_mem::snapshot();
-                let summary = engine.update_graph_delta(&[op]).unwrap();
-                let delta = acir_mem::snapshot().since(&before);
-                assert_eq!(
-                    (summary.answers_revalidated, summary.answers_repaired),
-                    (cached as usize, 0)
-                );
-                delta.heap_events()
-            })
-            .min()
-            .unwrap()
-    };
-    let (small, large) = (write_events(64), write_events(1024));
+            for k in 0..cached {
+                assert!(engine.submit(query(k)).is_accepted());
+                assert_eq!(engine.run_pending()[0].kind, ResponseKind::Full);
+            }
+            assert_eq!(engine.answer_cache_len(), cached as usize);
+            let events = (2..5)
+                .map(|weight| {
+                    let op = EdgeOp::Insert {
+                        u,
+                        v,
+                        weight: f64::from(weight),
+                    };
+                    let before = acir_mem::snapshot();
+                    let summary = engine.update_graph_delta(&[op]).unwrap();
+                    let delta = acir_mem::snapshot().since(&before);
+                    assert_eq!(
+                        (
+                            summary.answers_revalidated,
+                            summary.answers_repaired,
+                            summary.answers_dropped
+                        ),
+                        (0, 0, 0)
+                    );
+                    delta.heap_events()
+                })
+                .min()
+                .unwrap();
+            assert_eq!(engine.answer_cache_len(), cached as usize);
+            let before = engine.stats().clone();
+            assert!(engine.submit(query(0)).is_accepted());
+            assert_eq!(engine.run_pending()[0].kind, ResponseKind::Cached);
+            let after = engine.stats();
+            let caught_up = (
+                after.answers_revalidated - before.answers_revalidated,
+                after.answers_repaired - before.answers_repaired,
+            );
+            (events, caught_up)
+        };
+    // Clique 160 is far from every single-seed diffusion.
+    let far = |k: NodeId| vec![k];
+    let (small, revalidated) = write_events(64, far, (1600, 1605));
+    let (large, _) = write_events(1024, far, (1600, 1605));
+    assert_eq!(revalidated, (1, 0), "the far write disturbed an answer");
     assert_eq!(
         small, large,
         "an undisturbing write cost {small} heap events beside 64 cached answers, {large} beside 1,024"
+    );
+    // Every answer diffuses from node 0, so estimate mass sits on the
+    // endpoint of a reweight of {0, 1} in each of them.
+    let through_zero = |k: NodeId| vec![0, k + 1];
+    let (small, repaired) = write_events(64, through_zero, (0, 1));
+    let (large, _) = write_events(1024, through_zero, (0, 1));
+    assert_eq!(
+        repaired,
+        (0, 1),
+        "the write at node 0 left an answer undisturbed"
+    );
+    assert_eq!(
+        small, large,
+        "a write disturbing every answer cost {small} heap events beside 64 cached answers, {large} beside 1,024"
     );
 }

@@ -502,17 +502,19 @@ fn acl_residual(g: &Graph, seed: NodeId, alpha: f64, p: &[f64]) -> Vec<f64> {
 
 /// Engine-level truth: through a delta far from every cached answer, a
 /// reweight on a seed, a delete that drops a degree under a parked
-/// residual, and an RCM compaction, every cached entry is served
-/// `Cached`, and what it serves is *true* against a model that shares
-/// no code with the repair path — the certificate bound covers the
-/// residual re-derived from the served vector on the head graph, and
-/// the vector is within `bound·deg` of exact PPR, node by node. The
-/// write summary accounts for every entry at every step, and a request
-/// pinned before a write neither hits nor populates the (epoch-less)
-/// cache.
+/// residual, two deltas landing before one probe (a composed repair),
+/// a delta caught up by an RCM compaction, and a bare RCM compaction,
+/// every cached entry is served `Cached`, and what it serves is *true*
+/// against a model that shares no code with the repair path — the
+/// certificate bound covers the residual re-derived from the served
+/// vector on the head graph, and the vector is within `bound·deg` of
+/// exact PPR, node by node. A write visits no entry; the catch-ups its
+/// next probes (or the compaction) run account for every entry exactly
+/// once per step, and a request pinned before a write neither hits nor
+/// populates the cache.
 #[test]
 fn engine_delta_stream_keeps_cached_answers_certified() {
-    use acir::serve::{DeltaSummary, Engine, EngineConfig, Query, ResponseKind};
+    use acir::serve::{DeltaSummary, Engine, EngineConfig, EngineStats, Query, ResponseKind};
     use acir_graph::snapshot::CompactionOrder;
     use acir_runtime::Certificate;
 
@@ -594,16 +596,28 @@ fn engine_delta_stream_keeps_cached_answers_certified() {
             })
             .collect()
     };
-    let accounted = |s: &DeltaSummary, step: &str| {
+    // The catch-ups between two stats readings: every cached answer
+    // accounted for once, none dropped. Returns (revalidated, repaired).
+    let accounted = |before: &EngineStats, after: &EngineStats, step: &str| {
+        let revalidated = after.answers_revalidated - before.answers_revalidated;
+        let repaired = after.answers_repaired - before.answers_repaired;
+        let dropped = after.answers_dropped - before.answers_dropped;
         assert_eq!(
-            s.answers_revalidated + s.answers_repaired + s.answers_dropped,
+            (revalidated + repaired + dropped) as usize,
             seeds.len(),
             "{step}: every cached answer is accounted for"
         );
+        assert_eq!(dropped, 0, "{step}: raw-push answers stay repairable");
+        (revalidated, repaired)
+    };
+    // A write leaves the cache alone: its summary counts no answer.
+    let untouched = |s: &DeltaSummary, step: &str| {
         assert_eq!(
-            s.answers_dropped, 0,
-            "{step}: raw-push answers stay repairable"
+            (s.answers_revalidated, s.answers_repaired, s.answers_dropped),
+            (0, 0, 0),
+            "{step}: the write visited a cached answer"
         );
+        assert_eq!(s.repair_pushes, 0, "{step}: no sketches, nothing to push");
     };
 
     let served = serve_and_check(&mut e, "fresh");
@@ -624,8 +638,8 @@ fn engine_delta_stream_keeps_cached_answers_certified() {
     let s = e
         .update_graph_delta(&[EdgeOp::Insert { u, v, weight: 2.0 }])
         .unwrap();
-    accounted(&s, "far insert");
-    assert_eq!((s.answers_repaired, s.repair_pushes), (0, 0));
+    untouched(&s, "far insert");
+    let before = e.stats().clone();
     let pinned = e.run_pending();
     assert!(
         pinned.iter().all(|r| r.kind == ResponseKind::Full),
@@ -637,6 +651,8 @@ fn engine_delta_stream_keeps_cached_answers_certified() {
         "an answer computed on a superseded snapshot must not enter the cache"
     );
     let served = serve_and_check(&mut e, "far insert");
+    let (_, repaired) = accounted(&before, e.stats(), "far insert");
+    assert_eq!(repaired, 0);
 
     // --- 2. A reweight on a seed, where its answer's estimate mass is
     // largest: that answer is reflowed and re-certified measured.
@@ -648,9 +664,11 @@ fn engine_delta_stream_keeps_cached_answers_certified() {
             weight: 3.0,
         }])
         .unwrap();
-    accounted(&s, "seed reweight");
-    assert!(s.answers_repaired >= 1 && s.repair_pushes > 0);
+    untouched(&s, "seed reweight");
+    let before = e.stats().clone();
     let after = serve_and_check(&mut e, "seed reweight");
+    let (_, repaired) = accounted(&before, e.stats(), "seed reweight");
+    assert!(repaired >= 1);
     assert!(
         after[0].bound < eps && after[0].bound != served[0].bound,
         "the reflowed answer carries a measured bound"
@@ -689,9 +707,11 @@ fn engine_delta_stream_keeps_cached_answers_certified() {
     let s = e
         .update_graph_delta(&[EdgeOp::Delete { u: c, v: x }])
         .unwrap();
-    accounted(&s, "delete under a parked residual");
-    assert_eq!((s.answers_repaired, s.repair_pushes), (0, 0));
+    untouched(&s, "delete under a parked residual");
+    let before = e.stats().clone();
     let kept = serve_and_check(&mut e, "delete under a parked residual");
+    let (_, repaired) = accounted(&before, e.stats(), "delete under a parked residual");
+    assert_eq!(repaired, 0);
     // Each kept certificate is the old one raised to cover the two
     // endpoints at their new degrees — and for the answer with the
     // most residual parked on `c` the raise is a real one.
@@ -708,10 +728,66 @@ fn engine_delta_stream_keeps_cached_answers_certified() {
         "no kept certificate had to be raised: |r_c|/d′_c = {ratio}"
     );
 
-    // --- 4. An RCM compaction: every answer is carried through the
-    // relabeling and is still true on the renumbered head.
+    // --- 4. Two deltas before one probe: a reweight on the second
+    // seed, then an insert far from every answer. Each entry is
+    // caught up once, against the composed delta of both writes.
+    let reweight = |e: &mut Engine, seed: NodeId, weight: f64| {
+        let nbr = e.graph().neighbor_ids(seed)[0];
+        assert_ne!(e.graph().edge_weight(seed, nbr), weight);
+        let s = e
+            .update_graph_delta(&[EdgeOp::Insert {
+                u: seed,
+                v: nbr,
+                weight,
+            }])
+            .unwrap();
+        untouched(&s, "reweight");
+    };
+    let g = e.graph().clone();
+    let far: Vec<NodeId> = (0..n as NodeId)
+        .filter(|&u| {
+            kept.iter()
+                .all(|a| a.p[u as usize] == 0.0 && a.r[u as usize] == 0.0)
+        })
+        .collect();
+    let (u, v) = far
+        .iter()
+        .flat_map(|&u| far.iter().map(move |&v| (u, v)))
+        .find(|&(u, v)| u < v && !g.has_edge(u, v))
+        .expect("two far nodes not yet joined");
+    reweight(&mut e, seeds[1], 2.5);
+    let s = e
+        .update_graph_delta(&[EdgeOp::Insert { u, v, weight: 0.5 }])
+        .unwrap();
+    untouched(&s, "far insert after a reweight");
+    let before = e.stats().clone();
+    serve_and_check(&mut e, "two deltas, one probe");
+    let (_, repaired) = accounted(&before, e.stats(), "two deltas, one probe");
+    assert!(repaired >= 1, "the reweighted seed's answer is reflowed");
+
+    // --- 5. A delta, then an RCM compaction before any probe: the
+    // compaction catches every entry up on the old labeling, then
+    // carries it through the relabeling; the probes find nothing
+    // behind.
+    reweight(&mut e, seeds[2], 4.0);
+    let before = e.stats().clone();
     let s = e.compact(CompactionOrder::Rcm).unwrap();
     assert!(s.relabeled);
+    assert_eq!((s.answers_relabeled, s.answers_dropped), (seeds.len(), 0));
+    let (_, repaired) = accounted(&before, e.stats(), "delta, then rcm compaction");
+    assert!(repaired >= 1, "the reweighted seed's answer is reflowed");
+    let before = e.stats().clone();
+    serve_and_check(&mut e, "delta, then rcm compaction");
+    let (revalidated, repaired) = (
+        e.stats().answers_revalidated - before.answers_revalidated,
+        e.stats().answers_repaired - before.answers_repaired,
+    );
+    assert_eq!((revalidated, repaired), (0, 0), "nothing is behind");
+
+    // --- 6. An RCM compaction with nothing behind: every answer is
+    // carried through the relabeling and is still true on the
+    // renumbered head.
+    let s = e.compact(CompactionOrder::Rcm).unwrap();
     assert_eq!((s.answers_relabeled, s.answers_dropped), (seeds.len(), 0));
     serve_and_check(&mut e, "rcm compaction");
     assert_eq!(e.answer_cache_len(), seeds.len());

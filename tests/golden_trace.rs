@@ -438,12 +438,14 @@ fn golden_serve_sketch_query() {
 }
 
 /// The dynamic-graph stage progression — a query answered and cached,
-/// then `delta applied → hub sketches repaired → certificate
-/// (re-issued for the repaired answer) → answer cache accounting`,
-/// then the repaired answer served as `cache_hit → responded:cached`
-/// on the new epoch — pinned structurally. A regression that silently
-/// reverts the delta path to purge-and-rebuild shows up here as a
-/// missing `repaired` note or a dropped certificate event.
+/// then `delta applied → hub sketches repaired` (the write visits no
+/// cached answer), then the repeat caught up at the probe —
+/// `certificate (re-issued for the repaired answer) →
+/// cache_catch_up:repaired` — and served as `cache_hit →
+/// responded:cached` on the new epoch — pinned structurally. A
+/// regression that reverts the delta path to purge-and-rebuild, or to
+/// eager repair on the write, shows up here as a missing catch-up
+/// stage or a moved certificate event.
 #[test]
 fn golden_serve_delta_repair() {
     let g = ring_of_cliques(4, 6).expect("ring of cliques");
@@ -475,10 +477,17 @@ fn golden_serve_delta_repair() {
         }])
         .expect("delta applies");
     assert_eq!(summary.epoch, 1);
-    assert_eq!(summary.answers_revalidated + summary.answers_repaired, 1);
     assert!(!summary.sketches_rebuilt);
+    let before = engine.stats().clone();
     assert!(engine.submit(q).is_accepted());
     assert_eq!(engine.run_pending()[0].kind.name(), "cached");
+    let after = engine.stats();
+    assert_eq!(
+        after.answers_revalidated + after.answers_repaired
+            - before.answers_revalidated
+            - before.answers_repaired,
+        1
+    );
     let mut diags = engine.trace().clone();
     diags.finish_spans();
     check("serve_delta_repair", &diags);
