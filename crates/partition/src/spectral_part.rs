@@ -202,26 +202,14 @@ pub fn spectral_bisect_ratio(g: &Graph) -> Result<SpectralCut> {
     let l = acir_spectral::combinatorial_laplacian(g);
     let n = g.n();
     let ones = vec![1.0 / (n as f64).sqrt(); n];
-    let (vals, vecs) = acir_linalg::lanczos::smallest_eigenpairs(
+    let (vals, mut vecs) = acir_linalg::lanczos::smallest_eigenpairs_restarted(
         &l,
         1,
-        n.min(4 * (n as f64).ln() as usize + 60),
         std::slice::from_ref(&ones),
+        1e-7,
     )?;
-    // Adaptive retry on residual, mirroring fiedler_vector.
-    let mut lambda2 = vals[0];
-    let mut v2 = vecs[0].clone();
-    {
-        let mut r = vec![0.0; n];
-        l.matvec(&v2, &mut r);
-        vector::axpy(-lambda2, &v2, &mut r);
-        if vector::norm2(&r) > 1e-7 {
-            let (vals, vecs) =
-                acir_linalg::lanczos::smallest_eigenpairs(&l, 1, n, std::slice::from_ref(&ones))?;
-            lambda2 = vals[0];
-            v2 = vecs[0].clone();
-        }
-    }
+    let lambda2 = vals[0];
+    let v2 = vecs.swap_remove(0);
     // Plain (non-degree-normalized) ordering: sweep on v2 directly by
     // feeding degree-scaled scores, cancelling sweep_cut's internal
     // division by degree.

@@ -9,22 +9,29 @@
 //! scale one calls a black-box "exact" solver):
 //!
 //! * `n ≤ DENSE_CUTOFF`: densify and run the Jacobi eigensolver;
-//! * larger: Lanczos on the sparse `𝓛` with the trivial eigenvector
-//!   `D^{1/2}1` deflated out.
+//! * larger: thick-restart Lanczos on the sparse `𝓛` with the trivial
+//!   eigenvector `D^{1/2}1` deflated out, run until the pair's true
+//!   residual is below `1e-8`. Its basis has a fixed size, so the cost
+//!   grows with the matvecs convergence needs, not with the square of a
+//!   Krylov dimension.
 //!
 //! Both return the eigenvalue `λ₂` and unit eigenvector `v₂`, plus the
 //! achieved Rayleigh quotient so callers can reason in
-//! quality-of-approximation terms.
+//! quality-of-approximation terms. [`fiedler_vector`] checks
+//! `‖𝓛v₂ − λ₂v₂‖₂ ≤ 1e-8` on the pair it returns, on either route.
 
 use crate::laplacian::{normalized_laplacian, trivial_eigenvector};
 use crate::{Result, SpectralError};
 use acir_graph::Graph;
-use acir_linalg::lanczos::{smallest_eigenpairs, smallest_eigenpairs_resilient};
-use acir_linalg::{vector, SymEig};
+use acir_linalg::lanczos::{smallest_eigenpairs_resilient, smallest_eigenpairs_restarted};
+use acir_linalg::{vector, CsrMatrix, LinalgError, SymEig};
 use acir_runtime::{Budget, Certificate, DivergenceCause, RetryPolicy, SolverOutcome};
 
 /// Cutoff below which the dense Jacobi route is used.
 pub const DENSE_CUTOFF: usize = 384;
+
+/// Residual `‖𝓛v₂ − λ₂v₂‖₂` every pair [`fiedler_vector`] returns meets.
+const RESIDUAL_TOL: f64 = 1e-8;
 
 /// The exact leading nontrivial eigenpair of the normalized Laplacian.
 #[derive(Debug, Clone)]
@@ -43,6 +50,10 @@ pub struct FiedlerResult {
 /// eigenvector; on disconnected graphs `λ₂ = 0` and "the problem of
 /// computing v₂ is not even well-posed", as the paper notes — callers
 /// should extract the largest component first).
+///
+/// The returned pair satisfies `‖𝓛v₂ − λ₂v₂‖₂ ≤ 1e-8`, checked after
+/// the final cleanup; otherwise (or if the Lanczos route reaches its
+/// matvec cap) the call fails with [`LinalgError::NotConverged`].
 pub fn fiedler_vector(g: &Graph) -> Result<FiedlerResult> {
     validate_fiedler(g)?;
     let nl = normalized_laplacian(g);
@@ -53,35 +64,38 @@ pub fn fiedler_vector(g: &Graph) -> Result<FiedlerResult> {
         // Eigenvalues ascend; index 0 is the trivial 0 eigenvalue.
         (eig.eigenvalues[1], eig.eigenvector(1))
     } else {
-        // Adaptive Krylov dimension: small eigenvalues of 𝓛 can cluster
-        // (e.g. long cycles), so start modest and grow until the
-        // eigenpair residual certifies convergence. The Krylov
-        // recurrence itself lives in `acir_linalg::lanczos`; this is
-        // only the restart-escalation wrapper around it.
-        // CORE LOOP (delegated: the Krylov recurrence lives in acir-linalg)
-        let mut krylov = (4 * (g.n() as f64).ln() as usize + 40).min(g.n());
-        loop {
-            let (vals, vecs) = smallest_eigenpairs(&nl, 1, krylov, std::slice::from_ref(&v1))?;
-            let mut r = vec![0.0; g.n()];
-            nl.matvec(&vecs[0], &mut r);
-            vector::axpy(-vals[0], &vecs[0], &mut r);
-            let residual = vector::norm2(&r);
-            if residual < 1e-8 || krylov >= g.n() {
-                break (vals[0], vecs[0].clone());
-            }
-            krylov = (krylov * 2).min(g.n());
-        }
+        // CORE LOOP (delegated: the thick-restart recurrence lives in acir-linalg)
+        let (vals, mut vecs) =
+            smallest_eigenpairs_restarted(&nl, 1, std::slice::from_ref(&v1), RESIDUAL_TOL)?;
+        (vals[0], vecs.swap_remove(0))
     };
 
-    // Clean up: remove any residual trivial component and renormalize.
+    // Clean up: remove any residual trivial component and renormalize,
+    // then certify the pair actually returned.
     vector::deflate(&mut v2, &v1);
     vector::normalize2(&mut v2);
+    let residual = eigen_residual(&nl, lambda2, &v2);
+    if residual.is_nan() || residual > RESIDUAL_TOL {
+        return Err(LinalgError::NotConverged {
+            iterations: 0,
+            residual,
+        }
+        .into());
+    }
     let rayleigh = nl.quad_form(&v2);
     Ok(FiedlerResult {
         lambda2,
         vector: v2,
         rayleigh,
     })
+}
+
+/// `‖𝓛v − θv‖₂`.
+fn eigen_residual(nl: &CsrMatrix, theta: f64, v: &[f64]) -> f64 {
+    let mut r = vec![0.0; v.len()];
+    nl.matvec(v, &mut r);
+    vector::axpy(-theta, v, &mut r);
+    vector::norm2(&r)
 }
 
 /// Budgeted variant of [`fiedler_vector`]: the Fiedler pair under a
@@ -112,10 +126,7 @@ pub fn fiedler_vector_budgeted(g: &Graph, budget: &Budget) -> Result<SolverOutco
         vector::deflate(&mut v2, &v1);
         vector::normalize2(&mut v2);
         let rayleigh = nl.quad_form(&v2);
-        let mut r = vec![0.0; v2.len()];
-        nl.matvec(&v2, &mut r);
-        vector::axpy(-rayleigh, &v2, &mut r);
-        let radius = vector::norm2(&r);
+        let radius = eigen_residual(&nl, rayleigh, &v2);
         (
             FiedlerResult {
                 lambda2,
@@ -281,7 +292,8 @@ mod tests {
         let nl = normalized_laplacian(&g);
         let v1 = trivial_eigenvector(&g);
         let dense = SymEig::new(&nl.to_dense()).unwrap();
-        let (vals, vecs) = smallest_eigenpairs(&nl, 1, n, std::slice::from_ref(&v1)).unwrap();
+        let (vals, vecs) =
+            smallest_eigenpairs_restarted(&nl, 1, std::slice::from_ref(&v1), 1e-8).unwrap();
         assert!((vals[0] - dense.eigenvalues[1]).abs() < 1e-8);
         assert!(vector::alignment(&vecs[0], &dense.eigenvector(1)) > 1.0 - 1e-6);
     }

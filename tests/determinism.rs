@@ -132,7 +132,14 @@ fn parallel_kernels_bit_identical_across_env_thread_counts() {
     .unwrap();
     let (g, _) = acir_graph::traversal::largest_component(&pc.graph);
 
-    // Lanczos Fiedler solve: same eigenpair to the last bit.
+    // Lanczos Fiedler solve: same eigenpair to the last bit. The graph
+    // must stay above the dense cutoff, or this row would silently
+    // test the Jacobi route instead.
+    assert!(
+        g.n() > acir_spectral::fiedler::DENSE_CUTOFF,
+        "n = {} takes the dense route",
+        g.n()
+    );
     let f1 = with_threads(1, || fiedler_vector(&g).unwrap());
     let f4 = with_threads(4, || fiedler_vector(&g).unwrap());
     assert_eq!(f1.lambda2.to_bits(), f4.lambda2.to_bits());

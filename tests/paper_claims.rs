@@ -248,3 +248,80 @@ fn claim_mahoney_orecchia_correspondence_all_dynamics() {
         }
     }
 }
+
+/// §3.1's exact reference (footnotes 14–15): above `DENSE_CUTOFF`,
+/// `fiedler_vector` solves Problem (3) by thick-restart Lanczos, the
+/// "refined power method". On graphs just past the cutoff its `λ₂`
+/// must be the dense Jacobi route's (or the closed form, for the cycle
+/// whose `λ₂` is double and the path whose gap is `Θ(1/n²)`), and the
+/// pair it returns must certify.
+#[test]
+fn claim_fiedler_lanczos_route_matches_dense_route() {
+    use acir_spectral::fiedler::DENSE_CUTOFF;
+    use rand::SeedableRng;
+    let social = gen::community::social_network(
+        &mut rand::rngs::StdRng::seed_from_u64(23),
+        &SocialNetworkParams {
+            core_nodes: 260,
+            core_attach: 3,
+            communities: 6,
+            community_size_range: (5, 40),
+            whiskers: 12,
+            whisker_max_len: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let er = gen::random::erdos_renyi_gnp(&mut rand::rngs::StdRng::seed_from_u64(5), 420, 0.015)
+        .unwrap();
+    let dense_lambda2 = |g: &Graph| {
+        let nl = normalized_laplacian(g);
+        acir_linalg::SymEig::new(&nl.to_dense())
+            .unwrap()
+            .eigenvalues[1]
+    };
+    let n = DENSE_CUTOFF + 16;
+    let pi = std::f64::consts::PI;
+    let mut cases: Vec<(&str, Graph, f64)> = Vec::new();
+    for (name, g) in [
+        (
+            "social",
+            acir_graph::traversal::largest_component(&social.graph).0,
+        ),
+        ("gnp", acir_graph::traversal::largest_component(&er).0),
+        ("barbell", gen::deterministic::barbell(190, 10).unwrap()),
+    ] {
+        let lambda2 = dense_lambda2(&g);
+        cases.push((name, g, lambda2));
+    }
+    cases.push((
+        "cycle",
+        gen::deterministic::cycle(n).unwrap(),
+        1.0 - (2.0 * pi / n as f64).cos(),
+    ));
+    cases.push((
+        "path",
+        gen::deterministic::path(n).unwrap(),
+        1.0 - (pi / (n - 1) as f64).cos(),
+    ));
+    for (name, g, lambda2) in &cases {
+        assert!(
+            g.n() > DENSE_CUTOFF && g.n() <= DENSE_CUTOFF + 100,
+            "{name}: n = {} is not just above the cutoff",
+            g.n()
+        );
+        let f = fiedler_vector(g).unwrap();
+        let err = (f.lambda2 - lambda2).abs();
+        assert!(
+            err < 1e-10,
+            "{name}: λ₂ {} vs {lambda2} ({err:.1e})",
+            f.lambda2
+        );
+        let nl = normalized_laplacian(g);
+        let mut r = vec![0.0; g.n()];
+        nl.matvec(&f.vector, &mut r);
+        acir_linalg::vector::axpy(-f.lambda2, &f.vector, &mut r);
+        let res = acir_linalg::vector::norm2(&r);
+        assert!(res <= 1e-8, "{name}: residual {res:.2e}");
+    }
+}
