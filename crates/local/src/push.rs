@@ -78,7 +78,8 @@ impl NodeValued for PushResult {
 }
 
 /// Reusable scratch for [`ppr_push`]: epoch-stamped `p`/`r` arrays, the
-/// queue-membership set, the work queue, and the touched-node list.
+/// queue-membership set, the work queue, the touched-node list, and the
+/// splice's harvest accumulator.
 ///
 /// Resetting costs `O(1)`; a push run touching `k` nodes then does
 /// `O(k)` bookkeeping regardless of `n`. A warm workspace makes
@@ -95,6 +96,11 @@ pub struct PushWorkspace {
     /// (sorted during harvest; every node with nonzero `p` or `r` is
     /// here, since the loop only adds `p` where `r` is nonzero).
     pub(crate) touched: Vec<NodeId>,
+    /// The splice's combined estimate `p + Σ_h r[h]·p_h` and the nodes
+    /// it holds, in first-touch order. Only the splice harvest clears
+    /// and fills them, so a plain push never pays for their reset.
+    pub(crate) combined: StampedVec,
+    pub(crate) combined_nodes: Vec<NodeId>,
 }
 
 impl PushWorkspace {

@@ -44,7 +44,6 @@ use crate::{LocalError, Result};
 use acir_graph::delta::EdgeDelta;
 use acir_graph::{Graph, NodeId, NodeValued, Permutation};
 use acir_runtime::{KernelCtx, SolverOutcome};
-use std::collections::BTreeMap;
 
 /// Sentinel in [`SketchSet::slot`] marking a node with no sketch.
 const NO_SKETCH: u32 = u32::MAX;
@@ -625,21 +624,38 @@ fn splice_core(
         return Ok(exit);
     }
 
-    // Harvest: ascending node order, like the push kernel. Non-hub
-    // residuals stay unaccounted; hub residuals are substituted by
-    // their sketches below.
+    // Harvest: ascending node order, like the push kernel, into the
+    // workspace's stamped accumulator. Every combined entry receives its
+    // terms in the order of this walk (`p(u)`, then each `r(h)·p_h` by
+    // ascending `h`), so its bits are fixed at any thread count. Non-hub
+    // residuals stay unaccounted; hub residuals are substituted by their
+    // sketches.
     ws.touched.sort_unstable();
+    ws.combined.reset(g.n());
+    ws.combined_nodes.clear();
+    let PushWorkspace {
+        p: est,
+        r: res,
+        touched: order,
+        combined,
+        combined_nodes,
+        ..
+    } = &mut *ws;
+    let mut add = |v: NodeId, x: f64| {
+        if combined.add(v as usize, x) {
+            combined_nodes.push(v);
+        }
+    };
     let mut touched = 0usize;
     let mut own_residual = 0.0f64;
     let mut hub_mass = 0.0f64;
     let mut hubs_spliced = 0usize;
     let mut sketch_slack = 0.0f64;
-    let mut combined: BTreeMap<NodeId, f64> = BTreeMap::new();
-    for &u in &ws.touched {
-        let p = ws.p.get(u as usize);
-        let r = ws.r.get(u as usize);
+    for &u in order.iter() {
+        let p = est.get(u as usize);
+        let r = res.get(u as usize);
         if p > 0.0 {
-            *combined.entry(u).or_insert(0.0) += p;
+            add(u, p);
         }
         if p > 0.0 || r > 0.0 {
             touched += 1;
@@ -650,15 +666,18 @@ fn splice_core(
                 hubs_spliced += 1;
                 sketch_slack += r * sketch.residual_mass;
                 for &(v, x) in &sketch.estimate {
-                    *combined.entry(v).or_insert(0.0) += r * x;
+                    add(v, r * x);
                 }
             } else {
                 own_residual += r;
             }
         }
     }
-    out.vector
-        .extend(combined.into_iter().filter(|&(_, x)| x > 0.0));
+    combined_nodes.sort_unstable();
+    let value = |&v: &NodeId| (v, combined.get(v as usize));
+    let support = combined_nodes.iter().map(value).filter(|e| e.1 > 0.0);
+    out.vector.reserve_exact(support.clone().count());
+    out.vector.extend(support);
     let remaining = own_residual + sketch_slack;
     // Converged: every non-hub residual is < ε_push·d by the loop exit
     // condition. Exhausted: the frontier may still hold larger
