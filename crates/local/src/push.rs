@@ -96,9 +96,10 @@ pub struct PushWorkspace {
     /// (sorted during harvest; every node with nonzero `p` or `r` is
     /// here, since the loop only adds `p` where `r` is nonzero).
     pub(crate) touched: Vec<NodeId>,
-    /// The splice's combined estimate `p + Σ_h r[h]·p_h` and the nodes
-    /// it holds, in first-touch order. Only the splice harvest clears
-    /// and fills them, so a plain push never pays for their reset.
+    /// The splice's combined estimate `p + Σ_harvested r[h]·p_h` and
+    /// the nodes it holds, in first-touch order. Only the splice
+    /// harvest clears and fills them, so a plain push never pays for
+    /// their reset.
     pub(crate) combined: StampedVec,
     pub(crate) combined_nodes: Vec<NodeId>,
 }

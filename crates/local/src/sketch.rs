@@ -15,18 +15,24 @@
 //!   threshold `ε_push = ε − ε_sketch`, but *never enqueue a sketched
 //!   hub* — residual arriving at a hub parks there (the push family's
 //!   one loop, with the hubs as its parked set). When the frontier
-//!   drains, every remaining non-hub residual is `< ε_push·d` and the
-//!   parked hub residual is substituted by linearity of PPR:
+//!   drains, every remaining non-hub residual is `< ε_push·d`. A hub
+//!   whose parked residual a cold push would have pushed, `r[h] ≥
+//!   ε_push·d(h)`, is *harvested*: its residual is substituted by
+//!   linearity of PPR. A hub below that keeps `r[h]` as ordinary
+//!   residual, under the same `ε_push·d` bound as the rest:
 //!
 //!   ```text
-//!   pr_α(s) = p + Σ_h r[h]·pr_α(e_h) + pr_α(r_nonhub)
-//!           ≈ p + Σ_h r[h]·p_h            (the spliced answer)
+//!   pr_α(s) = p + Σ_harvested r[h]·pr_α(e_h) + pr_α(r_rest)
+//!           ≈ p + Σ_harvested r[h]·p_h    (the spliced answer)
 //!   ```
 //!
-//!   The unaccounted mass is `Σ_v r_nonhub[v] + Σ_h r[h]·‖r_h‖₁`, and
-//!   per unit degree it is bounded by `ε_push + ε_sketch·Σ_h r[h]
-//!   ≤ ε` since the parked mass is at most 1 — the *same* `ε·deg`
+//!   The unaccounted mass is `Σ_v r_rest[v] + Σ_harvested r[h]·‖r_h‖₁`,
+//!   and per unit degree it is bounded by `ε_push + ε_sketch·Σ_harvested
+//!   r[h] ≤ ε` since the parked mass is at most 1 — the *same* `ε·deg`
 //!   invariant direct push certifies, at a fraction of the pushed mass.
+//!   Harvesting only the hubs a cold push would push keeps the answer's
+//!   support near the cold push's: a hub's whole sketch is not merged
+//!   in for a residual the cold push would have dropped.
 //!
 //! When no sketch can help (empty store, mismatched α, `ε_sketch ≥ ε`)
 //! the splice entry point degrades to a plain push and is
@@ -59,7 +65,7 @@ pub struct HubSketch {
     /// Residual `r_h` at exit (every entry `< ε_sketch·d`), sorted.
     pub residual: Vec<(NodeId, f64)>,
     /// `‖r_h‖₁` — the mass the sketch leaves undistributed; splices
-    /// charge `r[h]·residual_mass` of slack per unit of parked mass.
+    /// charge `r[h]·residual_mass` of slack per unit of harvested mass.
     pub residual_mass: f64,
     /// Pushes the offline build spent on this hub.
     pub pushes: usize,
@@ -447,8 +453,9 @@ pub struct SpliceResult {
     /// The combined PPR estimate (online push plus spliced hub
     /// sketches), sorted `(node, value)` pairs.
     pub vector: Vec<(NodeId, f64)>,
-    /// Total unaccounted mass: non-hub residual of the online loop plus
-    /// `Σ_h r[h]·‖r_h‖₁` inherited from the spliced sketches.
+    /// Total unaccounted mass: the online loop's unharvested residual
+    /// (non-hub, or parked on a hub under `ε_push·d(h)`) plus
+    /// `Σ_harvested r[h]·‖r_h‖₁` inherited from the harvested sketches.
     pub residual_mass: f64,
     /// Certified per-unit-degree error bound of `vector`; at most the
     /// requested ε when the run converged.
@@ -460,10 +467,12 @@ pub struct SpliceResult {
     /// Distinct nodes the *online* frontier touched — the per-query
     /// locality measure the benchmarks compare against cold push.
     pub touched: usize,
-    /// Hubs whose sketches were spliced in.
+    /// Harvested hubs: those whose parked residual reached
+    /// `ε_push·d(h)` and was answered from their sketches. A hub parked
+    /// under that threshold is not counted.
     pub hubs_spliced: usize,
-    /// Residual mass parked on hubs and answered from sketches,
-    /// `Σ_h r[h]` (≤ 1).
+    /// Residual mass of the harvested hubs, answered from their
+    /// sketches, `Σ_harvested r[h]` (≤ 1).
     pub hub_mass: f64,
     /// Residual mass processed by the online loop (`Σ r[u]` over
     /// pushes) — cold push's same counter is the speedup denominator.
@@ -505,7 +514,10 @@ impl From<SpliceResult> for PushResult {
 /// Sketch-spliced approximate PPR from `seeds`: equivalent (within the
 /// certified `ε·deg` bound) to [`crate::push::ppr_push`] at the same ε,
 /// but pushing only until the frontier's residual is parked on sketched
-/// hubs. Falls back to the exact push loop — bit-identical to
+/// hubs, then harvesting the hubs a cold push at `ε_push = ε − ε_sketch`
+/// would have pushed (`r[h] ≥ ε_push·d(h)`) from their sketches; residual
+/// parked under that threshold stays as certified residual. Falls back
+/// to the exact push loop — bit-identical to
 /// `ppr_push` — when `set` is empty, was built for a different α, or
 /// its `ε_sketch` is not finer than `epsilon`.
 pub fn ppr_push_spliced(
@@ -585,7 +597,7 @@ pub fn ppr_push_spliced_ctx(
         PUSH_POOL.with(|ws| splice_core(g, seeds, alpha, epsilon, set, ws, &mut out, ctx))?;
     ctx.note_with(|| {
         format!(
-            "splice: {} hubs park {:.3e} mass; {} online pushes ({:.3e} mass pushed)",
+            "splice: {} hubs harvest {:.3e} mass; {} online pushes ({:.3e} mass pushed)",
             out.hubs_spliced, out.hub_mass, out.pushes, out.mass_pushed,
         )
     });
@@ -596,12 +608,15 @@ pub fn ppr_push_spliced_ctx(
 /// `set` is known compatible (`ε_sketch < ε`, same α, same n).
 ///
 /// The push family's one loop ([`resume_push`]) with the sketched hubs
-/// parked: residual arriving at a hub is never pushed on, and the
-/// harvest substitutes `r[h]·p_h` for it (ascending hub id, so the
-/// combination order — and hence every bit of the output — is
-/// deterministic at any thread count). The online threshold is
-/// `ε_push = ε − ε_sketch`, which makes the combined per-degree bound
-/// `ε_push + ε_sketch·Σ_h r[h] ≤ ε`.
+/// parked: residual arriving at a hub is never pushed on. The harvest
+/// substitutes `r[h]·p_h` for it only where a cold push at the online
+/// threshold `ε_push = ε − ε_sketch` would have pushed the hub,
+/// `r[h] ≥ ε_push·d(h)`; a hub below that keeps `r[h]` as ordinary
+/// residual, already within the loop's own `ε_push·d` exit bound. The
+/// combined per-degree bound is `ε_push + ε_sketch·Σ_harvested r[h]
+/// ≤ ε`. Harvesting runs by ascending hub id, so the combination order —
+/// and hence every bit of the output — is deterministic at any thread
+/// count.
 // CORE LOOP (delegated: push::resume_push)
 #[allow(clippy::too_many_arguments)]
 fn splice_core(
@@ -616,6 +631,7 @@ fn splice_core(
 ) -> Result<PushExit> {
     let eps_push = epsilon - set.epsilon();
     let parked = |u| set.covers(u);
+    let harvested = |u, r| parked(u) && r >= eps_push * g.degree(u);
     ws.reset(g.n());
     ws.seed(g, seeds, eps_push, parked);
     let run = resume_push(g, ws, alpha, eps_push, parked, 1.0, 1.0, ctx)?;
@@ -627,9 +643,10 @@ fn splice_core(
     // Harvest: ascending node order, like the push kernel, into the
     // workspace's stamped accumulator. Every combined entry receives its
     // terms in the order of this walk (`p(u)`, then each `r(h)·p_h` by
-    // ascending `h`), so its bits are fixed at any thread count. Non-hub
-    // residuals stay unaccounted; hub residuals are substituted by their
-    // sketches.
+    // ascending `h`), so its bits are fixed at any thread count. The
+    // residual of a harvested hub is substituted by its sketch; every
+    // other residual (non-hub, or a hub under `ε_push·d`) stays
+    // unaccounted.
     ws.touched.sort_unstable();
     ws.combined.reset(g.n());
     ws.combined_nodes.clear();
@@ -661,15 +678,16 @@ fn splice_core(
             touched += 1;
         }
         if r > 0.0 {
-            if let Some(sketch) = set.get(u) {
-                hub_mass += r;
-                hubs_spliced += 1;
-                sketch_slack += r * sketch.residual_mass;
-                for &(v, x) in &sketch.estimate {
-                    add(v, r * x);
+            match set.get(u) {
+                Some(sketch) if harvested(u, r) => {
+                    hub_mass += r;
+                    hubs_spliced += 1;
+                    sketch_slack += r * sketch.residual_mass;
+                    for &(v, x) in &sketch.estimate {
+                        add(v, r * x);
+                    }
                 }
-            } else {
-                own_residual += r;
+                _ => own_residual += r,
             }
         }
     }
@@ -679,13 +697,16 @@ fn splice_core(
     out.vector.reserve_exact(support.clone().count());
     out.vector.extend(support);
     let remaining = own_residual + sketch_slack;
-    // Converged: every non-hub residual is < ε_push·d by the loop exit
-    // condition. Exhausted: the frontier may still hold larger
-    // residuals, so the realized worst per-degree residual takes over.
+    // Converged: every unharvested residual is < ε_push·d, by the loop
+    // exit condition off the hubs and by the harvest rule on them.
+    // Exhausted: the frontier may still hold larger residuals, so the
+    // realized worst per-degree residual takes over.
     let base = match &exit {
         PushExit::Exhausted { .. } => {
-            let own = ws.touched.iter().filter(|&&u| !set.covers(u));
-            worst_per_degree(g, own.map(|&u| (u, ws.r.get(u as usize)))).max(eps_push)
+            let own = (ws.touched.iter())
+                .map(|&u| (u, ws.r.get(u as usize)))
+                .filter(|&(u, r)| !harvested(u, r));
+            worst_per_degree(g, own).max(eps_push)
         }
         _ => eps_push,
     };
@@ -870,6 +891,47 @@ mod tests {
         let cold = ppr_push(&g, &[40], 0.1, eps).unwrap();
         assert!(spliced.hubs_spliced > 0);
         assert!(spliced.mass_pushed < cold.mass_pushed);
+    }
+
+    #[test]
+    fn hub_parked_under_the_push_threshold_is_not_harvested() {
+        // Seed 0 hangs between two star centers: hub A (node 2, 20
+        // leaves) and hub B (node 1, 300 leaves). Both get the same
+        // parked residual r from the seed, which clears ε_push·d(A) but
+        // not ε_push·d(B): a cold push would push A and leave B.
+        let (a_leaves, b_leaves) = (20, 300);
+        let mut pairs = vec![(0, 1), (0, 2)];
+        pairs.extend((0..b_leaves).map(|i| (1, 3 + i)));
+        pairs.extend((0..a_leaves).map(|i| (2, 3 + b_leaves + i)));
+        let g = Graph::from_pairs(3 + (a_leaves + b_leaves) as usize, pairs).unwrap();
+        let (alpha, eps, eps_sketch) = (0.1, 1e-2, 1e-3);
+        let set = build_hub_sketches(&g, 2, alpha, eps_sketch).unwrap();
+        assert!(set.covers(1) && set.covers(2));
+        let s = ppr_push_spliced(&g, &[0], alpha, eps, &set).unwrap();
+        let eps_push = eps - eps_sketch;
+        let r = s.hub_mass;
+        assert!(r >= eps_push * g.degree(2) && r < eps_push * g.degree(1));
+        // Only A is harvested and counted.
+        assert_eq!(s.hubs_spliced, 1);
+        let dense = s.to_dense(g.n());
+        assert!(dense[2] > 0.0, "A's sketch was spliced in");
+        assert!(
+            (1..3 + b_leaves as usize).all(|v| v == 2 || dense[v] == 0.0),
+            "B's sketch was spliced in"
+        );
+        // B's parked residual, equal to A's, stays certified residual:
+        // the answer still conserves mass.
+        assert!(s.residual_mass >= r);
+        let p_mass: f64 = s.vector.iter().map(|&(_, x)| x).sum();
+        assert!((p_mass + s.residual_mass - 1.0).abs() < 1e-12);
+        // The bound charges sketch slack for A's mass only, and holds.
+        assert_eq!(s.per_degree_bound, eps_push + eps_sketch * r);
+        let exact = ppr_exact_reference(&g, &[0], alpha, 4000).unwrap();
+        for (u, (&x, &y)) in exact.iter().zip(&dense).enumerate() {
+            let err = (x - y) / g.degree(u as NodeId);
+            assert!(err >= -1e-9, "node {u}: splice overshoots by {err}");
+            assert!(err <= s.per_degree_bound + 1e-9, "node {u}: err {err}");
+        }
     }
 
     #[test]
