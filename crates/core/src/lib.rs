@@ -58,11 +58,11 @@ pub mod figures;
 /// Budgets ([`Budget`](runtime::Budget)), structured outcomes
 /// ([`SolverOutcome`](runtime::SolverOutcome)) with quality
 /// [`Certificate`](runtime::Certificate)s, divergence guards, retry
-/// policies, and the fault-injection harness. Every iterative kernel
-/// in the workspace has a `*_budgeted` (and often `*_resilient`)
-/// variant speaking this vocabulary; truncation under a budget returns
-/// a *certified partial answer* — the paper's implicitly regularized
-/// iterate — never a bare error.
+/// policies, and the fault-injection harness. Every metered iterative
+/// kernel in the workspace has a `*_budgeted` variant speaking this
+/// vocabulary; truncation under a budget returns a *certified partial
+/// answer* — the paper's implicitly regularized iterate — never a bare
+/// error.
 pub mod runtime {
     pub use acir_runtime::fault::corrupt;
     pub use acir_runtime::{
@@ -131,11 +131,10 @@ pub mod prelude {
     };
     pub use acir_runtime::{StampedSet, StampedVec, Workspace, WorkspacePool};
     pub use acir_spectral::{
-        fiedler_vector, fiedler_vector_budgeted, heat_kernel, heat_kernel_chebyshev,
-        heat_kernel_chebyshev_budgeted, heat_kernel_chebyshev_multi, lazy_walk,
-        normalized_laplacian, pagerank, pagerank_budgeted, pagerank_power, pagerank_power_budgeted,
-        pagerank_power_ctx, pagerank_power_multi, spectral_clustering, spectral_embedding,
-        streaming_pagerank_of_graph, Seed,
+        fiedler_vector, heat_kernel_chebyshev, heat_kernel_chebyshev_budgeted,
+        heat_kernel_chebyshev_multi, lazy_walk, normalized_laplacian, pagerank, pagerank_budgeted,
+        pagerank_power, pagerank_power_budgeted, pagerank_power_ctx, pagerank_power_multi,
+        spectral_clustering, spectral_embedding, streaming_pagerank_of_graph, Seed,
     };
 
     pub use crate::experiment::{ExperimentContext, TextTable};

@@ -1,8 +1,8 @@
 //! Chebyshev polynomial approximation of matrix functions `f(A)·v`.
 //!
-//! The third route to the heat kernel and friends (next to the dense
-//! eigendecomposition and the Lanczos projection of [`crate::expm`]):
-//! expand `f` in Chebyshev polynomials on the operator's spectral
+//! The sparse route to the heat kernel and friends (the dense
+//! exponentials of [`crate::expm`] are the exact reference it is
+//! checked against): expand `f` in Chebyshev polynomials on the operator's spectral
 //! interval `[a, b]` and evaluate by the three-term recurrence — one
 //! matvec per degree, no inner products, no orthogonalization. For
 //! normalized Laplacians (`spectrum ⊂ [0, 2]`) this is the method of
@@ -18,8 +18,8 @@
 use crate::vector;
 use crate::{LinOp, LinalgError, Result};
 use acir_runtime::{
-    Budget, Certificate, Diagnostics, DivergenceCause, Exhaustion, GuardConfig, GuardVerdict,
-    KernelCtx, RetryPolicy, SolverOutcome, Workspace,
+    Budget, Certificate, DivergenceCause, Exhaustion, GuardConfig, GuardVerdict, KernelCtx,
+    SolverOutcome, Workspace,
 };
 
 /// A Chebyshev expansion of a scalar function on `[a, b]`.
@@ -299,10 +299,7 @@ impl ChebyshevExpansion {
     ///
     /// A spectrum escaping `[a, b]` makes the Chebyshev vectors grow
     /// exponentially; the guard detects this (or any NaN/Inf
-    /// contamination) and returns [`SolverOutcome::Diverged`] — see
-    /// [`cheb_heat_kernel_resilient`] for the escalation ladder that
-    /// re-estimates the interval and falls back to the power-method
-    /// (Krylov) route.
+    /// contamination) and returns [`SolverOutcome::Diverged`].
     pub fn apply_budgeted(
         &self,
         op: &dyn LinOp,
@@ -335,42 +332,6 @@ pub fn cheb_heat_kernel_budgeted(
     }
     let exp = ChebyshevExpansion::fit(|x| (-t * x).exp(), 0.0, lambda_max, degree)?;
     exp.apply_budgeted(op, v, budget)
-}
-
-/// Heat kernel with the Chebyshev escalation ladder. Attempt 0 expands
-/// on `[0, lambda_max]` as given; if that diverges (the spectrum
-/// escaped the interval, so the polynomials blew up), attempt 1
-/// re-estimates the spectral interval with a short Lanczos (power
-/// method family) run and refits; any later attempt abandons
-/// polynomials entirely and falls back to the Krylov route
-/// ([`crate::expm::expm_multiply`]), which needs no interval at all.
-pub fn cheb_heat_kernel_resilient(
-    op: &dyn LinOp,
-    t: f64,
-    v: &[f64],
-    lambda_max: f64,
-    degree: usize,
-    budget: &Budget,
-    policy: &RetryPolicy,
-) -> Result<SolverOutcome<Vec<f64>>> {
-    policy.run(|attempt| match attempt {
-        0 => cheb_heat_kernel_budgeted(op, t, v, lambda_max, degree, budget),
-        1 => {
-            let (lo, hi) = crate::lanczos::spectral_interval(op, 20)?;
-            // Pad: underestimating the interval is what kills Chebyshev.
-            let hi = hi.max(lambda_max) + 0.1 * (hi - lo).abs().max(1.0);
-            let mut out = cheb_heat_kernel_budgeted(op, t, v, hi.max(1e-6), degree, budget)?;
-            out.diagnostics_mut()
-                .note(format!("re-estimated spectral interval to [0, {hi:.3e}]"));
-            Ok(out)
-        }
-        _ => {
-            let value = crate::expm::expm_multiply(op, -t, v, 30)?;
-            let mut diagnostics = Diagnostics::for_kernel("linalg.expm_krylov");
-            diagnostics.note("fell back to Krylov expm (power-method family)");
-            Ok(SolverOutcome::converged(value, diagnostics))
-        }
-    })
 }
 
 /// Convenience: `exp(−t·A)·v` for an operator with spectrum in
@@ -416,7 +377,7 @@ pub fn cheb_heat_kernel_multi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expm::expm_multiply;
+    use crate::expm::expm_dense;
     use crate::sparse::CsrMatrix;
 
     fn path_laplacian(n: usize) -> CsrMatrix {
@@ -480,17 +441,18 @@ mod tests {
     }
 
     #[test]
-    fn heat_kernel_matches_krylov_route() {
+    fn heat_kernel_matches_dense_route() {
         let n = 24;
         let l = path_laplacian(n);
-        let mut neg = l.clone();
-        neg.scale(-1.0);
+        let mut neg = l.to_dense();
+        neg.scale(-1.3);
         let mut seed = vec![0.0; n];
         seed[5] = 1.0;
-        let krylov = expm_multiply(&neg, 1.3, &seed, n).unwrap();
+        let mut dense = vec![0.0; n];
+        expm_dense(&neg).unwrap().gemv(1.0, &seed, 0.0, &mut dense);
         // Chebyshev on [0, 4] (path Laplacian spectrum ⊂ [0, 4]).
         let cheb = cheb_heat_kernel(&l, 1.3, &seed, 4.0, 40).unwrap();
-        assert!(vector::dist2(&cheb, &krylov) < 1e-9);
+        assert!(vector::dist2(&cheb, &dense) < 1e-9);
     }
 
     #[test]
@@ -549,30 +511,6 @@ mod tests {
         seed[n / 2] = 1.0;
         let out = cheb_heat_kernel_budgeted(&l, 1.0, &seed, 1.0, 60, &Budget::unlimited()).unwrap();
         assert!(!out.is_usable(), "escaped spectrum must be flagged");
-    }
-
-    #[test]
-    fn resilient_ladder_recovers_from_bad_interval() {
-        let n = 24;
-        let l = path_laplacian(n);
-        let mut seed = vec![0.0; n];
-        seed[5] = 1.0;
-        let reference = cheb_heat_kernel(&l, 1.3, &seed, 4.0, 40).unwrap();
-        // lambda_max = 1.0 is wrong (spectrum ⊂ [0, 4]); the ladder must
-        // re-estimate the interval or fall back to Krylov.
-        let out = cheb_heat_kernel_resilient(
-            &l,
-            1.3,
-            &seed,
-            1.0,
-            40,
-            &Budget::unlimited(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert!(out.is_usable(), "ladder should recover: {out:?}");
-        assert!(out.diagnostics().restarts >= 1);
-        assert!(vector::dist2(out.value().unwrap(), &reference) < 1e-6);
     }
 
     #[test]

@@ -1,25 +1,21 @@
 //! Matrix exponentials: the analytic core of the Heat Kernel diffusion
 //! (paper §3.1, `H_t = exp(−tL)`).
 //!
-//! Three routes, by scale:
+//! These are the exact side of the heat-kernel checks, for small dense
+//! matrices:
 //!
-//! * [`expm_dense`] — scaling-and-squaring with a Taylor core for small
-//!   dense matrices (the exact reference path);
+//! * [`expm_dense`] — scaling-and-squaring with a Taylor core;
 //! * [`expm_sym`] — spectral route `V·diag(e^λ)·Vᵀ` for symmetric
 //!   matrices via the Jacobi eigensolver (used by the regularized-SDP
-//!   machinery, which needs matrix functions anyway);
-//! * [`expm_multiply`] — Krylov (Lanczos) approximation of `exp(A)·v` for
-//!   large sparse symmetric operators; this is the *approximation
-//!   algorithm* whose truncation (Krylov dimension) is an implicit
-//!   regularization parameter.
+//!   machinery, which needs matrix functions anyway).
+//!
+//! The sparse approximation `exp(−tA)·v`, whose truncation degree is
+//! an implicit regularization parameter, is the Chebyshev recurrence
+//! of [`crate::chebyshev`].
 
 use crate::dense::DenseMatrix;
 use crate::jacobi::SymEig;
-use crate::lanczos::lanczos_ctx;
-use crate::tridiag::tridiag_eig;
-use crate::vector;
-use crate::{LinOp, LinalgError, Result};
-use acir_runtime::{Budget, KernelCtx, SolverOutcome};
+use crate::{LinalgError, Result};
 
 /// Dense matrix exponential by scaling and squaring with a Taylor core.
 ///
@@ -63,181 +59,9 @@ pub fn expm_sym(a: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(SymEig::new(a)?.matrix_function(f64::exp))
 }
 
-/// Krylov approximation of `exp(t·A)·v` for a symmetric operator `A`.
-///
-/// Standard Lanczos projection: `exp(tA)v ≈ ‖v‖ · V_k exp(tT_k) e₁`.
-/// `krylov_dim` is the approximation budget; ~30 suffices for the heat
-/// kernel on normalized Laplacians (`spectrum ⊂ [0,2]`) at any `t` the
-/// experiments use. Errors on a zero seed.
-pub fn expm_multiply(op: &dyn LinOp, t: f64, v: &[f64], krylov_dim: usize) -> Result<Vec<f64>> {
-    let mut ctx = KernelCtx::new();
-    match expm_multiply_ctx(op, t, v, krylov_dim, &mut ctx)? {
-        SolverOutcome::Converged { value, .. } => Ok(value),
-        _ => unreachable!("an inert context can neither exhaust nor diverge"),
-    }
-}
-
-/// Krylov `exp(t·A)·v` under an explicit resource [`acir_runtime::Budget`],
-/// returning a structured [`acir_runtime::SolverOutcome`].
-///
-/// The budget governs the underlying Lanczos run (one work unit per
-/// matvec); on exhaustion the exponential is evaluated on the *partial*
-/// Krylov space and returned as a certified truncation — the smaller
-/// Krylov dimension is exactly the paper's implicit-regularization
-/// knob, so the partial answer is meaningful, not broken. The
-/// certificate is inherited from the Lanczos run (the last off-diagonal
-/// `β`, which controls the Krylov approximation error for matrix
-/// functions). Contamination from a faulted operator diverges.
-pub fn expm_multiply_budgeted(
-    op: &dyn LinOp,
-    t: f64,
-    v: &[f64],
-    krylov_dim: usize,
-    budget: &Budget,
-) -> Result<SolverOutcome<Vec<f64>>> {
-    // Guard mirrors `lanczos_budgeted`: contamination scans only.
-    let mut ctx = KernelCtx::budgeted("linalg.lanczos", budget)
-        .with_guard(acir_runtime::GuardConfig::contamination_only());
-    expm_multiply_ctx(op, t, v, krylov_dim, &mut ctx)
-}
-
-/// Context-driven Krylov `exp(t·A)·v`: the [`KernelCtx`] decides whether
-/// the inner Lanczos run is metered, guarded, or traced.
-///
-/// This module has no iteration loop of its own — the three-term Krylov
-/// recurrence in [`lanczos_ctx`] *is* the loop, and this function lifts
-/// its tridiagonal output through `exp(t T_k)` afterwards.
-pub fn expm_multiply_ctx(
-    op: &dyn LinOp,
-    t: f64,
-    v: &[f64],
-    krylov_dim: usize,
-    ctx: &mut KernelCtx,
-) -> Result<SolverOutcome<Vec<f64>>> {
-    let n = op.dim();
-    if v.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            expected: n,
-            found: v.len(),
-        });
-    }
-    let vnorm = vector::norm2(v);
-    if vnorm < 1e-300 {
-        return Err(LinalgError::InvalidArgument("seed vector is zero"));
-    }
-    // CORE LOOP (delegated: the Krylov recurrence lives in `lanczos_ctx`)
-    let outcome = lanczos_ctx(op, v, krylov_dim.max(2), &[], ctx)?;
-
-    let lift = |res: &crate::lanczos::LanczosResult| -> Result<Vec<f64>> {
-        let k = res.k();
-        let te = tridiag_eig(&res.alpha, &res.beta)?;
-        let mut coeff = vec![0.0; k];
-        for m in 0..k {
-            let w = te.eigenvectors[(0, m)] * (t * te.eigenvalues[m]).exp();
-            for (j, c) in coeff.iter_mut().enumerate() {
-                *c += w * te.eigenvectors[(j, m)];
-            }
-        }
-        let mut out = vec![0.0; n];
-        for (j, basis_j) in res.basis.iter().enumerate() {
-            vector::axpy(vnorm * coeff[j], basis_j, &mut out);
-        }
-        Ok(out)
-    };
-
-    // The adopted Lanczos trace is re-wrapped in this kernel's span so
-    // the trace shows expm over its inner tridiagonalization.
-    Ok(match outcome {
-        SolverOutcome::Converged {
-            value,
-            mut diagnostics,
-        } => {
-            diagnostics.wrap_span("linalg.expm_krylov");
-            SolverOutcome::Converged {
-                value: lift(&value)?,
-                diagnostics,
-            }
-        }
-        SolverOutcome::BudgetExhausted {
-            best_so_far,
-            exhausted,
-            certificate,
-            mut diagnostics,
-        } => {
-            diagnostics.note(format!(
-                "heat kernel evaluated on a partial Krylov space of dimension {}",
-                best_so_far.k()
-            ));
-            diagnostics.wrap_span("linalg.expm_krylov");
-            SolverOutcome::BudgetExhausted {
-                best_so_far: lift(&best_so_far)?,
-                exhausted,
-                certificate,
-                diagnostics,
-            }
-        }
-        SolverOutcome::Diverged {
-            at_iter,
-            cause,
-            mut diagnostics,
-        } => {
-            diagnostics.wrap_span("linalg.expm_krylov");
-            SolverOutcome::Diverged {
-                at_iter,
-                cause,
-                diagnostics,
-            }
-        }
-    })
-}
-
-/// Truncated Taylor approximation of `exp(t·A)·v` with `terms` terms:
-/// `Σ_{k=0}^{terms-1} (tA)^k v / k!`.
-///
-/// Deliberately the *naive* approximation: the number of terms is exactly
-/// the "number of steps of the diffusion" truncation the paper discusses,
-/// so experiments can dial it down and watch the implicit regularization
-/// appear.
-pub fn expm_taylor(op: &dyn LinOp, t: f64, v: &[f64], terms: usize) -> Result<Vec<f64>> {
-    let n = op.dim();
-    if v.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            expected: n,
-            found: v.len(),
-        });
-    }
-    if terms == 0 {
-        return Err(LinalgError::InvalidArgument("terms must be positive"));
-    }
-    let mut out = v.to_vec();
-    let mut term = v.to_vec();
-    let mut buf = vec![0.0; n];
-    for k in 1..terms {
-        op.apply(&term, &mut buf);
-        let c = t / k as f64;
-        for (ti, bi) in term.iter_mut().zip(&buf) {
-            *ti = c * bi;
-        }
-        vector::axpy(1.0, &term, &mut out);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::CsrMatrix;
-
-    fn path_laplacian(n: usize) -> CsrMatrix {
-        let mut t = Vec::new();
-        for i in 0..n - 1 {
-            t.push((i, i, 1.0));
-            t.push((i + 1, i + 1, 1.0));
-            t.push((i, i + 1, -1.0));
-            t.push((i + 1, i, -1.0));
-        }
-        CsrMatrix::from_triplets(n, n, t)
-    }
 
     #[test]
     fn expm_of_zero_is_identity() {
@@ -296,106 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn expm_multiply_matches_dense_reference() {
-        let n = 16;
-        let l = path_laplacian(n);
-        let mut neg_l = l.clone();
-        neg_l.scale(-1.0);
-        let t = 1.7;
-
-        let seed: Vec<f64> = (0..n).map(|i| if i == 3 { 1.0 } else { 0.0 }).collect();
-        let krylov = expm_multiply(&neg_l, t, &seed, n).unwrap();
-
-        let mut dense = l.to_dense();
-        dense.scale(-t);
-        let e = expm_dense(&dense).unwrap();
-        let mut reference = vec![0.0; n];
-        e.gemv(1.0, &seed, 0.0, &mut reference);
-
-        assert!(vector::dist2(&krylov, &reference) < 1e-9);
-    }
-
-    #[test]
-    fn expm_multiply_small_krylov_is_smooth_approximation() {
-        let n = 40;
-        let l = path_laplacian(n);
-        let mut neg_l = l.clone();
-        neg_l.scale(-1.0);
-        let mut seed = vec![0.0; n];
-        seed[0] = 1.0;
-        // A small Krylov budget gives an approximation whose mass defect
-        // (exact heat kernels conserve total mass: exp(-tL)ᵀ1 = 1) shrinks
-        // as the budget grows — truncation error is monotone here.
-        let rough = expm_multiply(&neg_l, 1.0, &seed, 6).unwrap();
-        let fine = expm_multiply(&neg_l, 1.0, &seed, 24).unwrap();
-        let defect_rough = (vector::sum(&rough) - 1.0).abs();
-        let defect_fine = (vector::sum(&fine) - 1.0).abs();
-        assert!(defect_fine < 1e-9, "fine defect {defect_fine}");
-        assert!(defect_fine <= defect_rough);
-    }
-
-    #[test]
-    fn expm_taylor_converges_with_terms() {
-        let n = 10;
-        let l = path_laplacian(n);
-        let mut neg_l = l.clone();
-        neg_l.scale(-1.0);
-        let mut seed = vec![0.0; n];
-        seed[5] = 1.0;
-        let exact = expm_multiply(&neg_l, 0.5, &seed, n).unwrap();
-        let rough = expm_taylor(&neg_l, 0.5, &seed, 3).unwrap();
-        let fine = expm_taylor(&neg_l, 0.5, &seed, 30).unwrap();
-        assert!(vector::dist2(&fine, &exact) < 1e-10);
-        assert!(vector::dist2(&rough, &exact) > vector::dist2(&fine, &exact));
-    }
-
-    #[test]
-    fn expm_budgeted_matches_plain_and_certifies_truncation() {
-        use acir_runtime::Budget;
-        let n = 24;
-        let l = path_laplacian(n);
-        let mut neg_l = l.clone();
-        neg_l.scale(-1.0);
-        let mut seed = vec![0.0; n];
-        seed[3] = 1.0;
-
-        let plain = expm_multiply(&neg_l, 1.0, &seed, n).unwrap();
-        let full = expm_multiply_budgeted(&neg_l, 1.0, &seed, n, &Budget::unlimited()).unwrap();
-        assert!(full.is_converged());
-        assert!(vector::dist2(full.value().unwrap(), &plain) < 1e-12);
-
-        // Tight budget → certified partial Krylov evaluation.
-        let partial = expm_multiply_budgeted(&neg_l, 1.0, &seed, n, &Budget::work(5)).unwrap();
-        assert!(!partial.is_converged() && partial.is_usable());
-        assert!(partial.certificate().is_some());
-        // The partial heat kernel still roughly conserves mass.
-        let mass = vector::sum(partial.value().unwrap());
-        assert!((mass - 1.0).abs() < 0.2, "mass {mass}");
-    }
-
-    #[test]
-    fn expm_budgeted_diverges_on_faulted_operator() {
-        use acir_runtime::{Budget, FaultConfig};
-        let n = 12;
-        let l = path_laplacian(n);
-        let mut neg_l = l.clone();
-        neg_l.scale(-1.0);
-        let faulty =
-            crate::fault::FaultyOp::new(&neg_l, FaultConfig::nans(1.0).after_clean_applies(2));
-        let mut seed = vec![0.0; n];
-        seed[3] = 1.0;
-        let out = expm_multiply_budgeted(&faulty, 1.0, &seed, n, &Budget::unlimited()).unwrap();
-        assert!(!out.is_usable());
-    }
-
-    #[test]
     fn validation_errors() {
         let rect = DenseMatrix::zeros(2, 3);
         assert!(expm_dense(&rect).is_err());
-        let a = CsrMatrix::identity(3);
-        assert!(expm_multiply(&a, 1.0, &[1.0], 5).is_err());
-        assert!(expm_multiply(&a, 1.0, &[0.0; 3], 5).is_err());
-        assert!(expm_taylor(&a, 1.0, &[1.0, 1.0, 1.0], 0).is_err());
-        assert!(expm_taylor(&a, 1.0, &[1.0], 3).is_err());
     }
 }

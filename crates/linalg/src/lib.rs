@@ -16,20 +16,18 @@
 //! * the Power Method of footnote 15 with explicit iteration-count control
 //!   ([`power`]) — early stopping is one of the paper's regularization
 //!   knobs, so the iteration budget is a first-class parameter;
-//! * Lanczos tridiagonalization with full reorthogonalization and a
-//!   symmetric tridiagonal QL eigensolver ([`mod@lanczos`], [`tridiag`]) for
-//!   large sparse spectra;
+//! * thick-restart Lanczos with full reorthogonalization and a
+//!   symmetric tridiagonal QL eigensolver ([`lanczos`], [`tridiag`]) for
+//!   a few extreme eigenpairs of large sparse operators;
 //! * direct and iterative linear solvers (Cholesky, LU, conjugate
 //!   gradient, Jacobi/Gauss–Seidel) ([`solve`]);
-//! * matrix exponentials, dense and operator form ([`expm`]) — the heat
-//!   kernel `exp(-tL)` of §3.1 in both its exact and approximate guises;
-//! * Chebyshev approximation of matrix functions ([`chebyshev`]) — one
-//!   matvec per degree, and the degree is yet another truncation knob
-//!   (a degree-d expansion of a delta seed reaches only d hops);
-//! * randomized sketching, thin QR, randomized truncated SVD, and
-//!   sketched least squares ([`sketch`]) — the §2.3 / ref \[30\]
-//!   randomization-as-regularization instances, with the
-//!   truncated-SVD-denoises demonstration in the tests.
+//! * dense matrix exponentials ([`expm`]) — the exact heat kernel
+//!   `exp(-tL)` of §3.1, the reference the approximate routes are
+//!   checked against;
+//! * Chebyshev approximation of matrix functions ([`chebyshev`]) — the
+//!   sparse heat kernel: one matvec per degree, and the degree is yet
+//!   another truncation knob (a degree-d expansion of a delta seed
+//!   reaches only d hops).
 //!
 //! Everything is `f64`; matrices are row-major; no external linear-algebra
 //! dependencies are used.
@@ -45,7 +43,6 @@ pub mod jacobi;
 pub mod lanczos;
 pub mod layout;
 pub mod power;
-pub mod sketch;
 pub mod solve;
 pub mod sparse;
 pub mod tridiag;
@@ -54,13 +51,12 @@ pub mod vector;
 pub use dense::DenseMatrix;
 pub use fault::FaultyOp;
 pub use jacobi::SymEig;
-pub use lanczos::{lanczos, lanczos_budgeted, lanczos_ctx, LanczosResult};
 pub use layout::{MergePlan, SellCSigma, SparseLayout, UnrolledCsr};
 pub use power::{
     power_method, power_method_budgeted, power_method_ctx, power_method_ws, PowerOptions,
     PowerResult,
 };
-pub use solve::{cg, cg_budgeted, cg_ctx, cg_resilient, cg_ws, CgOptions, CgResult};
+pub use solve::{cg, cg_budgeted, cg_ctx, cg_ws, CgOptions, CgResult};
 pub use sparse::CsrMatrix;
 
 // Resilience-runtime vocabulary, re-exported so downstream crates can
@@ -134,13 +130,14 @@ pub type Result<T> = std::result::Result<T, LinalgError>;
 
 /// A real linear operator `y = A x` on `R^n`.
 ///
-/// The iterative algorithms in this crate ([`power_method`], [`fn@lanczos`],
-/// [`cg`]) are written against this trait so that graph Laplacians and
-/// other matrix-free operators from the higher-level crates can be plugged
-/// in without ever materializing a dense matrix — the property that makes
-/// the Power Method viable at web scale (paper §3.1: "it can be implemented
-/// with simple matrix-vector multiplications, thus not damaging the
-/// sparsity of the matrix").
+/// The iterative algorithms in this crate ([`power_method`],
+/// [`lanczos::smallest_eigenpairs_restarted`], [`cg`]) are written
+/// against this trait so that graph Laplacians and other matrix-free
+/// operators from the higher-level crates can be plugged in without ever
+/// materializing a dense matrix — the property that makes the Power
+/// Method viable at web scale (paper §3.1: "it can be implemented with
+/// simple matrix-vector multiplications, thus not damaging the sparsity
+/// of the matrix").
 pub trait LinOp {
     /// Dimension `n` of the (square) operator.
     fn dim(&self) -> usize;

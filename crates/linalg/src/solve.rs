@@ -14,7 +14,7 @@ use crate::vector;
 use crate::{LinOp, LinalgError, Result};
 use acir_runtime::{
     Budget, Certificate, DivergenceCause, Exhaustion, GuardConfig, GuardVerdict, KernelCtx,
-    RetryPolicy, SolverOutcome, Workspace,
+    SolverOutcome, Workspace,
 };
 
 /// Cholesky factorization `A = G Gᵀ` (lower triangular `G`) of an SPD
@@ -430,8 +430,7 @@ fn cg_core(
 /// the paper, the truncated CG solve is the regularized answer, not a
 /// failure. NaN/Inf contamination or a nonpositive-curvature direction
 /// (a CG stall, e.g. from an indefinite or corrupted operator) yields
-/// [`SolverOutcome::Diverged`]; see [`cg_resilient`] for the
-/// jittered-restart escalation policy.
+/// [`SolverOutcome::Diverged`].
 pub fn cg_budgeted(
     op: &dyn LinOp,
     b: &[f64],
@@ -445,49 +444,6 @@ pub fn cg_budgeted(
     )
     .with_guard(GuardConfig::default());
     cg_ctx(op, b, x0, opts, &mut ctx)
-}
-
-/// CG with the stall-recovery escalation ladder: on divergence
-/// (contamination, blow-up, or a nonpositive-curvature stall), restart
-/// from the best-known iterate perturbed by a deterministic jitter that
-/// grows with the attempt index, knocking the search out of the
-/// degenerate Krylov subspace.
-///
-/// Budget exhaustion is *not* retried — a certified partial solve is a
-/// legitimate outcome. The budget applies per attempt.
-pub fn cg_resilient(
-    op: &dyn LinOp,
-    b: &[f64],
-    x0: &[f64],
-    opts: &CgOptions,
-    budget: &Budget,
-    policy: &RetryPolicy,
-) -> Result<SolverOutcome<CgResult>> {
-    let bnorm = vector::norm2(b).max(f64::MIN_POSITIVE);
-    policy.run(|attempt| {
-        if attempt == 0 {
-            cg_budgeted(op, b, x0, opts, budget)
-        } else {
-            // Deterministic jitter, scaled up 10× per escalation.
-            let scale = bnorm * 1e-8 * 10f64.powi(attempt as i32 - 1);
-            let mut state = 0x9e3779b97f4a7c15u64 ^ (attempt as u64);
-            let seeded: Vec<f64> = x0
-                .iter()
-                .map(|&xi| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let u = ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
-                    if xi.is_finite() {
-                        xi + scale * u
-                    } else {
-                        scale * u
-                    }
-                })
-                .collect();
-            cg_budgeted(op, b, &seeded, opts, budget)
-        }
-    })
 }
 
 /// Weighted Jacobi iteration `x ← x + ω D⁻¹ (b − A x)` for
@@ -964,47 +920,6 @@ mod tests {
             !out.is_usable(),
             "NaN-poisoned CG must diverge, not converge"
         );
-    }
-
-    #[test]
-    fn cg_resilient_restarts_after_transient_stall() {
-        // Operator that stalls on the very first attempt only: the
-        // retry's jittered restart must recover.
-        use std::cell::Cell;
-        struct FlakyOnce<'a> {
-            inner: &'a DenseMatrix,
-            calls: Cell<u32>,
-        }
-        impl LinOp for FlakyOnce<'_> {
-            fn dim(&self) -> usize {
-                self.inner.dim()
-            }
-            fn apply(&self, x: &[f64], y: &mut [f64]) {
-                let c = self.calls.get();
-                self.calls.set(c + 1);
-                self.inner.apply(x, y);
-                if c == 1 {
-                    // Corrupt the second matvec of attempt 0.
-                    y.fill(f64::NAN);
-                }
-            }
-        }
-        let a = spd3();
-        let flaky = FlakyOnce {
-            inner: &a,
-            calls: Cell::new(0),
-        };
-        let out = cg_resilient(
-            &flaky,
-            &[1.0, 2.0, 3.0],
-            &[0.0; 3],
-            &CgOptions::default(),
-            &Budget::unlimited(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert!(out.is_converged(), "retry should recover: {out:?}");
-        assert!(out.diagnostics().restarts >= 1);
     }
 
     proptest! {

@@ -19,7 +19,6 @@
 use crate::laplacian::{normalized_laplacian, random_walk_matrix};
 use crate::{Result, SpectralError};
 use acir_graph::{Graph, NodeId};
-use acir_linalg::expm::expm_multiply;
 use acir_linalg::solve::{cg, cg_budgeted, CgOptions};
 use acir_linalg::{vector, CsrMatrix, LinOp};
 use acir_runtime::{
@@ -87,6 +86,15 @@ impl Seed {
                 s.copy_from_slice(v);
             }
         }
+        let mass = vector::norm1(&s);
+        if !(mass.is_finite() && (1.0 / mass).is_finite()) {
+            // The ℓ₁ mass or its reciprocal overflows: bring the largest
+            // entry to 1 first (a zero vector stays zero).
+            let top = s.iter().fold(0.0, |m: f64, &x| m.max(x));
+            if top > 0.0 {
+                s.iter_mut().for_each(|x| *x /= top);
+            }
+        }
         if vector::normalize1(&mut s) == 0.0 {
             return Err(SpectralError::InvalidArgument("seed has zero mass".into()));
         }
@@ -94,34 +102,16 @@ impl Seed {
     }
 }
 
-/// Heat-kernel diffusion `exp(−t·𝓛)·s` on the *normalized* Laplacian,
-/// computed with a Krylov budget of `krylov_dim` (≥ 30 is effectively
-/// exact for `t ≲ 100` since `spec(𝓛) ⊆ [0, 2]`).
+/// Heat-kernel diffusion `exp(−t·𝓛)·s` on the *normalized* Laplacian
+/// via the Chebyshev route ([`acir_linalg::chebyshev`]): `degree`
+/// matvecs, no orthogonalization, and — because a degree-`d`
+/// polynomial of the Laplacian reaches only `d` hops — a *structurally
+/// local* approximation at low degrees. Agrees with the exact
+/// `exp(−t𝓛)` as the degree grows.
 ///
 /// Aggressiveness: larger `t` diffuses further (and regularizes less in
 /// the η ↔ t correspondence of the regularized SDP; see
 /// `acir-regularize`).
-pub fn heat_kernel(g: &Graph, t: f64, seed: &Seed, krylov_dim: usize) -> Result<Vec<f64>> {
-    if !(t >= 0.0 && t.is_finite()) {
-        return Err(SpectralError::InvalidArgument(format!(
-            "heat kernel time must be nonnegative, got {t}"
-        )));
-    }
-    let s = seed.to_vector(g)?;
-    if t == 0.0 {
-        return Ok(s);
-    }
-    let nl = normalized_laplacian(g);
-    let mut neg = nl;
-    neg.scale(-1.0);
-    Ok(expm_multiply(&neg, t, &s, krylov_dim)?)
-}
-
-/// Heat-kernel diffusion via the Chebyshev route ([`acir_linalg::chebyshev`]):
-/// `degree` matvecs, no orthogonalization, and — because a degree-`d`
-/// polynomial of the Laplacian reaches only `d` hops — a *structurally
-/// local* approximation at low degrees. Agrees with [`heat_kernel`] as
-/// the degree grows.
 pub fn heat_kernel_chebyshev(g: &Graph, t: f64, seed: &Seed, degree: usize) -> Result<Vec<f64>> {
     if !(t >= 0.0 && t.is_finite()) {
         return Err(SpectralError::InvalidArgument(format!(
@@ -543,40 +533,40 @@ mod tests {
     }
 
     #[test]
+    fn seed_mass_survives_overflow_and_underflow() {
+        let g = path(2).unwrap();
+        // ℓ₁ mass overflows to ∞.
+        let big = Seed::Custom(vec![f64::MAX, f64::MAX])
+            .to_vector(&g)
+            .unwrap();
+        assert_eq!(big, vec![0.5, 0.5]);
+        // 1/mass overflows to ∞.
+        let tiny = Seed::Custom(vec![5e-324, 0.0]).to_vector(&g).unwrap();
+        assert_eq!(tiny, vec![1.0, 0.0]);
+    }
+
+    #[test]
     fn heat_kernel_zero_time_is_identity() {
         let g = cycle(6).unwrap();
-        let s = heat_kernel(&g, 0.0, &Seed::Node(0), 20).unwrap();
+        let s = heat_kernel_chebyshev(&g, 0.0, &Seed::Node(0), 20).unwrap();
         assert_eq!(s[0], 1.0);
-        assert!(heat_kernel(&g, -1.0, &Seed::Node(0), 20).is_err());
+        assert!(heat_kernel_chebyshev(&g, -1.0, &Seed::Node(0), 20).is_err());
     }
 
     #[test]
     fn heat_kernel_matches_dense_reference() {
-        let g = star(7).unwrap();
-        let t = 1.3;
-        let out = heat_kernel(&g, t, &Seed::Node(3), g.n()).unwrap();
-        // Dense reference via the symmetric eigensolver.
-        let nl = normalized_laplacian(&g).to_dense();
-        let eig = acir_linalg::SymEig::new(&nl).unwrap();
-        let h = eig.matrix_function(|lam| (-t * lam).exp());
-        let mut expected = vec![0.0; g.n()];
-        let mut s = vec![0.0; g.n()];
-        s[3] = 1.0;
-        h.gemv(1.0, &s, 0.0, &mut expected);
-        assert!(vector::dist2(&out, &expected) < 1e-9);
-    }
-
-    #[test]
-    fn chebyshev_heat_kernel_matches_krylov_route() {
-        let g = barbell(5, 2).unwrap();
-        let t = 1.9;
-        let krylov = heat_kernel(&g, t, &Seed::Node(2), g.n()).unwrap();
-        let cheb = heat_kernel_chebyshev(&g, t, &Seed::Node(2), 50).unwrap();
-        assert!(vector::dist2(&krylov, &cheb) < 1e-9);
-        // t = 0 short-circuits; bad t rejected.
-        let id = heat_kernel_chebyshev(&g, 0.0, &Seed::Node(2), 10).unwrap();
-        assert_eq!(id[2], 1.0);
-        assert!(heat_kernel_chebyshev(&g, -1.0, &Seed::Node(2), 10).is_err());
+        for (g, seed, t) in [(star(7).unwrap(), 3, 1.3), (barbell(5, 2).unwrap(), 2, 1.9)] {
+            let out = heat_kernel_chebyshev(&g, t, &Seed::Node(seed), 50).unwrap();
+            // Dense reference via the symmetric eigensolver.
+            let nl = normalized_laplacian(&g).to_dense();
+            let eig = acir_linalg::SymEig::new(&nl).unwrap();
+            let h = eig.matrix_function(|lam| (-t * lam).exp());
+            let mut expected = vec![0.0; g.n()];
+            let mut s = vec![0.0; g.n()];
+            s[seed as usize] = 1.0;
+            h.gemv(1.0, &s, 0.0, &mut expected);
+            assert!(vector::dist2(&out, &expected) < 1e-9);
+        }
     }
 
     #[test]

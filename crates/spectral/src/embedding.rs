@@ -13,7 +13,7 @@ use crate::fiedler::DENSE_CUTOFF;
 use crate::laplacian::{normalized_laplacian, trivial_eigenvector};
 use crate::{Result, SpectralError};
 use acir_graph::{Graph, NodeId};
-use acir_linalg::lanczos::smallest_eigenpairs;
+use acir_linalg::lanczos::smallest_eigenpairs_restarted;
 use acir_linalg::{vector, SymEig};
 use rand::Rng;
 
@@ -30,6 +30,11 @@ pub struct SpectralEmbedding {
 /// Embed the nodes of a connected graph with the first `k` nontrivial
 /// eigenvectors of the normalized Laplacian, each column rescaled as
 /// `D^{−1/2} v` (so coordinates live in the random-walk geometry).
+///
+/// Up to [`DENSE_CUTOFF`] nodes the pairs come from the dense Jacobi
+/// solver; above it from thick-restart Lanczos, each pair with residual
+/// `‖𝓛v − λv‖₂ ≤ 1e-8` (else the call fails with
+/// `LinalgError::NotConverged`).
 pub fn spectral_embedding(g: &Graph, k: usize) -> Result<SpectralEmbedding> {
     let n = g.n();
     if k == 0 || k + 1 > n {
@@ -50,8 +55,7 @@ pub fn spectral_embedding(g: &Graph, k: usize) -> Result<SpectralEmbedding> {
         let vecs: Vec<Vec<f64>> = (1..=k).map(|i| eig.eigenvector(i)).collect();
         (vals, vecs)
     } else {
-        let krylov = (6 * k + 4 * (n as f64).ln() as usize + 40).min(n);
-        smallest_eigenpairs(&nl, k, krylov, std::slice::from_ref(&v1))?
+        smallest_eigenpairs_restarted(&nl, k, std::slice::from_ref(&v1), 1e-8)?
     };
     let mut coords = vec![vec![0.0; k]; n];
     for (j, v) in vecs.iter().enumerate() {
@@ -232,6 +236,50 @@ mod tests {
         // Eigenvalues ascend and are nontrivial.
         assert!(emb.eigenvalues[0] > 1e-9);
         assert!(emb.eigenvalues.windows(2).all(|w| w[0] <= w[1] + 1e-12));
+    }
+
+    #[test]
+    fn sparse_route_pairs_match_dense_and_are_thread_stable() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let er = acir_graph::gen::random::erdos_renyi_gnp(&mut rng, 420, 0.03).unwrap();
+        let g = acir_graph::traversal::largest_component(&er).0;
+        assert!(g.n() > DENSE_CUTOFF);
+        let k = 3;
+        let runs: Vec<SpectralEmbedding> = ["1", "4"]
+            .iter()
+            .map(|threads| {
+                std::env::set_var("ACIR_THREADS", threads);
+                let emb = spectral_embedding(&g, k).unwrap();
+                std::env::remove_var("ACIR_THREADS");
+                emb
+            })
+            .collect();
+        let bits = |e: &SpectralEmbedding| -> Vec<u64> {
+            let coords = e.coords.iter().flatten();
+            e.eigenvalues
+                .iter()
+                .chain(coords)
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&runs[0]), bits(&runs[1]), "ACIR_THREADS 1 vs 4");
+
+        let nl = normalized_laplacian(&g);
+        let dense = SymEig::new(&nl.to_dense()).unwrap();
+        let emb = &runs[0];
+        for (j, &lam) in emb.eigenvalues.iter().enumerate() {
+            let want = dense.eigenvalues[j + 1];
+            assert!((lam - want).abs() <= 1e-8, "λ{}: {lam} vs {want}", j + 2);
+            // Undo the D^{−1/2} rescaling to recover the Laplacian pair.
+            let v: Vec<f64> = (0..g.n())
+                .map(|u| emb.coords[u][j] * g.degree(u as NodeId).sqrt())
+                .collect();
+            let mut r = vec![0.0; g.n()];
+            nl.matvec(&v, &mut r);
+            vector::axpy(-lam, &v, &mut r);
+            let res = vector::norm2(&r);
+            assert!(res <= 1e-8, "pair {j}: residual {res:.3e}");
+        }
     }
 
     #[test]

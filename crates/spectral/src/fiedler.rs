@@ -23,9 +23,8 @@
 use crate::laplacian::{normalized_laplacian, trivial_eigenvector};
 use crate::{Result, SpectralError};
 use acir_graph::Graph;
-use acir_linalg::lanczos::{smallest_eigenpairs_resilient, smallest_eigenpairs_restarted};
+use acir_linalg::lanczos::smallest_eigenpairs_restarted;
 use acir_linalg::{vector, CsrMatrix, LinalgError, SymEig};
-use acir_runtime::{Budget, Certificate, DivergenceCause, RetryPolicy, SolverOutcome};
 
 /// Cutoff below which the dense Jacobi route is used.
 pub const DENSE_CUTOFF: usize = 384;
@@ -98,104 +97,7 @@ fn eigen_residual(nl: &CsrMatrix, theta: f64, v: &[f64]) -> f64 {
     vector::norm2(&r)
 }
 
-/// Budgeted variant of [`fiedler_vector`]: the Fiedler pair under a
-/// resource [`Budget`], always via the sparse Lanczos route (budgets
-/// meter matvecs, which the dense Jacobi route does not perform).
-///
-/// On exhaustion the best Ritz pair found so far is returned with a
-/// [`Certificate::RayleighInterval`] recomputed against `𝓛` directly:
-/// by symmetric perturbation theory some true eigenvalue lies within
-/// `radius = ‖𝓛v − θv‖₂` of the returned `θ` — the truncated iterate
-/// is a usable regularized answer, not an error. Lanczos breakdowns
-/// are retried with perturbed seeds before reporting divergence.
-pub fn fiedler_vector_budgeted(g: &Graph, budget: &Budget) -> Result<SolverOutcome<FiedlerResult>> {
-    validate_fiedler(g)?;
-    let nl = normalized_laplacian(g);
-    let v1 = trivial_eigenvector(g);
-    let krylov = (4 * (g.n() as f64).ln() as usize + 40).min(g.n());
-    let out = smallest_eigenpairs_resilient(
-        &nl,
-        1,
-        krylov,
-        std::slice::from_ref(&v1),
-        budget,
-        &RetryPolicy::attempts(3),
-    )?;
-
-    let build = |mut v2: Vec<f64>, lambda2: f64| {
-        vector::deflate(&mut v2, &v1);
-        vector::normalize2(&mut v2);
-        let rayleigh = nl.quad_form(&v2);
-        let radius = eigen_residual(&nl, rayleigh, &v2);
-        (
-            FiedlerResult {
-                lambda2,
-                vector: v2,
-                rayleigh,
-            },
-            radius,
-        )
-    };
-
-    Ok(match out {
-        SolverOutcome::Converged {
-            value: (vals, mut vecs),
-            mut diagnostics,
-        } => {
-            let (result, _) = build(std::mem::take(&mut vecs[0]), vals[0]);
-            diagnostics.wrap_span("spectral.fiedler");
-            SolverOutcome::Converged {
-                value: result,
-                diagnostics,
-            }
-        }
-        SolverOutcome::BudgetExhausted {
-            best_so_far: (vals, mut vecs),
-            exhausted,
-            certificate: _,
-            mut diagnostics,
-        } => {
-            if vecs.is_empty() {
-                // No Krylov direction survived the budget at all.
-                diagnostics.wrap_span("spectral.fiedler");
-                return Ok(SolverOutcome::diverged(
-                    DivergenceCause::Breakdown {
-                        at_iter: 0,
-                        what: "budget exhausted before any Lanczos step completed",
-                    },
-                    diagnostics,
-                ));
-            }
-            let (result, radius) = build(std::mem::take(&mut vecs[0]), vals[0]);
-            let center = result.rayleigh;
-            diagnostics
-                .note("partial Fiedler pair: eigenvalue interval recomputed against the Laplacian");
-            let certificate = Certificate::RayleighInterval { center, radius };
-            diagnostics.certificate_issued(&certificate);
-            diagnostics.wrap_span("spectral.fiedler");
-            SolverOutcome::BudgetExhausted {
-                best_so_far: result,
-                exhausted,
-                certificate,
-                diagnostics,
-            }
-        }
-        SolverOutcome::Diverged {
-            at_iter,
-            cause,
-            mut diagnostics,
-        } => {
-            diagnostics.wrap_span("spectral.fiedler");
-            SolverOutcome::Diverged {
-                at_iter,
-                cause,
-                diagnostics,
-            }
-        }
-    })
-}
-
-/// Validation shared by both Fiedler entry points.
+/// Inputs [`fiedler_vector`] accepts: connected, at least two nodes.
 fn validate_fiedler(g: &Graph) -> Result<()> {
     if g.n() < 2 {
         return Err(SpectralError::InvalidArgument(
@@ -307,44 +209,6 @@ mod tests {
             (f.lambda2 - expected).abs() < 1e-7,
             "{} vs {expected}",
             f.lambda2
-        );
-    }
-
-    #[test]
-    fn budgeted_unlimited_matches_plain_eigenvalue() {
-        let g = path(60).unwrap();
-        let out = fiedler_vector_budgeted(&g, &Budget::unlimited()).unwrap();
-        assert!(out.is_converged());
-        let f = fiedler_vector(&g).unwrap();
-        assert!((out.value().unwrap().lambda2 - f.lambda2).abs() < 1e-7);
-    }
-
-    #[test]
-    fn budgeted_exhaustion_interval_contains_true_eigenvalue() {
-        // Starve the matvec budget: the partial Ritz pair must come
-        // back certified, and the interval must contain a true
-        // eigenvalue of 𝓛 for the path: 1 − cos(πk/(n−1))... computed
-        // densely here instead, to avoid formula drift.
-        let n = 64;
-        let g = path(n).unwrap();
-        let out = fiedler_vector_budgeted(&g, &Budget::work(12)).unwrap();
-        assert!(!out.is_converged());
-        if !out.is_usable() {
-            return; // too starved to produce any pair — also a valid structured outcome
-        }
-        let (center, radius) = match out.certificate() {
-            Some(&Certificate::RayleighInterval { center, radius }) => (center, radius),
-            c => panic!("wrong certificate {c:?}"),
-        };
-        let nl = normalized_laplacian(&g);
-        let eig = SymEig::new(&nl.to_dense()).unwrap();
-        assert!(
-            eig.eigenvalues
-                .iter()
-                .any(|&lam| (lam - center).abs() <= radius + 1e-9),
-            "no eigenvalue in [{:.3e}, {:.3e}]",
-            center - radius,
-            center + radius
         );
     }
 

@@ -36,12 +36,12 @@ pub mod ranking;
 pub mod streaming;
 
 pub use diffusion::{
-    heat_kernel, heat_kernel_chebyshev, heat_kernel_chebyshev_budgeted,
-    heat_kernel_chebyshev_multi, lazy_walk, pagerank, pagerank_budgeted, pagerank_power,
-    pagerank_power_budgeted, pagerank_power_ctx, pagerank_power_multi, Seed,
+    heat_kernel_chebyshev, heat_kernel_chebyshev_budgeted, heat_kernel_chebyshev_multi, lazy_walk,
+    pagerank, pagerank_budgeted, pagerank_power, pagerank_power_budgeted, pagerank_power_ctx,
+    pagerank_power_multi, Seed,
 };
 pub use embedding::{adjusted_rand_index, kmeans, spectral_clustering, spectral_embedding};
-pub use fiedler::{fiedler_vector, fiedler_vector_budgeted, FiedlerResult};
+pub use fiedler::{fiedler_vector, FiedlerResult};
 pub use laplacian::{
     adjacency_matrix, combinatorial_laplacian, lazy_walk_matrix, normalized_adjacency,
     normalized_laplacian, random_walk_matrix, trivial_eigenvector,

@@ -13,7 +13,7 @@ use acir_graph::traversal::largest_component;
 use acir_linalg::chebyshev::{cheb_heat_kernel, cheb_heat_kernel_multi, ChebyshevExpansion};
 use acir_linalg::power::{power_method, power_method_budgeted, power_method_ctx, power_method_ws};
 use acir_linalg::solve::{cg, cg_budgeted, cg_ctx, cg_ws, CgOptions};
-use acir_linalg::{lanczos, lanczos_budgeted, lanczos_ctx, PowerOptions};
+use acir_linalg::PowerOptions;
 use acir_local::sweep::sweep_cut_ctx;
 use acir_spectral::Seed;
 use rand::rngs::StdRng;
@@ -134,23 +134,6 @@ fn check_linalg(g: &Graph) {
             "cg ({label}) drifted from the ctx call"
         );
         assert_eq!(reference.iterations, r.iterations);
-    }
-
-    // lanczos: plain / _budgeted(unlimited) vs _ctx(inert).
-    let mut ctx = KernelCtx::new();
-    let reference = converged(lanczos_ctx(&nl, &v0, 12, &[], &mut ctx).unwrap(), "lanczos");
-    let plain = lanczos(&nl, &v0, 12, &[]).unwrap();
-    let budgeted = converged(
-        lanczos_budgeted(&nl, &v0, 12, &[], &Budget::unlimited()).unwrap(),
-        "lanczos_budgeted",
-    );
-    for (label, r) in [("plain", &plain), ("budgeted", &budgeted)] {
-        assert_eq!(bits(&reference.alpha), bits(&r.alpha), "lanczos ({label})");
-        assert_eq!(bits(&reference.beta), bits(&r.beta), "lanczos ({label})");
-        assert_eq!(reference.basis.len(), r.basis.len());
-        for (a, c) in reference.basis.iter().zip(&r.basis) {
-            assert_eq!(bits(a), bits(c), "lanczos ({label}) basis drifted");
-        }
     }
 
     // Chebyshev application: plain / _ws / _budgeted(unlimited) vs

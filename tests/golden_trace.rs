@@ -28,8 +28,7 @@ use acir_graph::gen::deterministic::{barbell, grid2d, path, ring_of_cliques};
 use acir_graph::Graph;
 use acir_linalg::chebyshev::cheb_heat_kernel_budgeted;
 use acir_linalg::{
-    cg_budgeted, lanczos_budgeted, power_method_budgeted, CgOptions, DenseMatrix, FaultyOp,
-    PowerOptions, ShiftedOp,
+    cg_budgeted, power_method_budgeted, CgOptions, DenseMatrix, FaultyOp, PowerOptions, ShiftedOp,
 };
 use acir_obs::{golden, Trace};
 use acir_runtime::{Budget, Diagnostics, FaultConfig, SolverOutcome};
@@ -109,14 +108,6 @@ fn golden_linalg_power_exhausted() {
         .expect("power method");
     assert!(!out.is_converged());
     check("linalg_power_exhausted", out.diagnostics());
-}
-
-#[test]
-fn golden_linalg_lanczos_converged() {
-    let (_g, nl) = laplacian_of_path(24);
-    let out =
-        lanczos_budgeted(&nl, &seed_vector(24), 8, &[], &Budget::unlimited()).expect("lanczos");
-    check("linalg_lanczos_converged", out.diagnostics());
 }
 
 #[test]
@@ -288,14 +279,6 @@ fn golden_flow_mqi_converged() {
 }
 
 // -------------------------------------------------------------- spectral
-
-#[test]
-fn golden_spectral_fiedler_converged() {
-    let g = barbell(6, 0).expect("barbell");
-    let out = acir_spectral::fiedler_vector_budgeted(&g, &Budget::unlimited()).expect("fiedler");
-    assert!(out.is_converged());
-    check("spectral_fiedler_converged", out.diagnostics());
-}
 
 #[test]
 fn golden_spectral_pagerank_converged() {

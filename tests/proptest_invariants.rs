@@ -120,7 +120,7 @@ proptest! {
         // preserves 1-mass; equivalently check that the symmetric heat
         // kernel preserves the D^{1/2}-weighted inner product with the
         // trivial eigenvector.
-        let out = heat_kernel(&g, 2.0, &Seed::Node(seed), 40).unwrap();
+        let out = heat_kernel_chebyshev(&g, 2.0, &Seed::Node(seed), 40).unwrap();
         let v1 = acir_spectral::trivial_eigenvector(&g);
         let before: f64 = v1[seed as usize] * 1.0;
         let after: f64 = out.iter().zip(&v1).map(|(a, b)| a * b).sum();
@@ -141,9 +141,8 @@ proptest! {
         prop_assert_eq!(&data.to_graph().unwrap(), &g);
     }
 
-    /// Three independent heat-kernel routes agree on arbitrary graphs:
-    /// dense spectral (via SymEig), Krylov (expm_multiply), and
-    /// Chebyshev recurrence.
+    /// The sparse heat-kernel route (Chebyshev recurrence) agrees with
+    /// the exact dense spectral route (via SymEig) on arbitrary graphs.
     #[test]
     fn heat_kernel_routes_agree_on_random_graphs(
         g in arb_connected_graph(),
@@ -161,11 +160,8 @@ proptest! {
         let h = eig.matrix_function(|lam| (-t * lam).exp());
         let mut dense = vec![0.0; n];
         h.gemv(1.0, &s, 0.0, &mut dense);
-        // Krylov route.
-        let krylov = heat_kernel(&g, t, &Seed::Node(seed), n).unwrap();
         // Chebyshev route.
-        let cheb = acir_linalg::chebyshev::cheb_heat_kernel(&nl, t, &s, 2.0, 50).unwrap();
-        prop_assert!(acir_linalg::vector::dist2(&dense, &krylov) < 1e-8);
+        let cheb = heat_kernel_chebyshev(&g, t, &Seed::Node(seed), 50).unwrap();
         prop_assert!(acir_linalg::vector::dist2(&dense, &cheb) < 1e-8);
     }
 
@@ -275,16 +271,16 @@ proptest! {
             None => prop_assert!(!out.diagnostics().events.is_empty()),
         }
 
-        // Lanczos.
+        // Thick-restart Lanczos: a poisoned operator is reported, never
+        // certified. Two pairs take at least four applies (two Krylov
+        // steps, two residual checks) and at most three are clean.
         let faulty = acir_linalg::FaultyOp::new(&nl, cfg);
-        let out = acir_linalg::lanczos_budgeted(&faulty, &v0, n.min(12), &[], &Budget::unlimited()).unwrap();
-        match out.value() {
-            Some(r) => {
-                prop_assert!(r.alpha.iter().chain(&r.beta).all(|x| x.is_finite()));
-                prop_assert!(r.basis.iter().flatten().all(|x| x.is_finite()));
-            }
-            None => prop_assert!(!out.diagnostics().events.is_empty()),
-        }
+        let out = acir_linalg::lanczos::smallest_eigenpairs_restarted(&faulty, 2, &[], 1e-8);
+        let reported = matches!(
+            out,
+            Err(acir_linalg::LinalgError::NotConverged { residual, .. }) if residual.is_nan()
+        );
+        prop_assert!(reported, "{out:?}");
 
         // Chebyshev heat kernel.
         let faulty = acir_linalg::FaultyOp::new(&nl, cfg);
