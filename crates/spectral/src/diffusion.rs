@@ -570,6 +570,51 @@ mod tests {
     }
 
     #[test]
+    fn chebyshev_heat_kernel_matches_krylov_route() {
+        let g = barbell(5, 2).unwrap();
+        let t = 1.9;
+        // Krylov reference: full Lanczos on 𝓛 from the seed, then
+        // exp(−t𝓛)s ≈ ‖s‖·V·exp(−tT)·e₁.
+        let nl = normalized_laplacian(&g);
+        let s = Seed::Node(2).to_vector(&g).unwrap();
+        let mut v = s.clone();
+        let s_norm = vector::normalize2(&mut v);
+        let (mut basis, mut alpha, mut beta) = (vec![v], Vec::new(), Vec::new());
+        while basis.len() <= g.n() {
+            let mut w = vec![0.0; g.n()];
+            nl.matvec(basis.last().unwrap(), &mut w);
+            alpha.push(vector::dot(&w, basis.last().unwrap()));
+            for _ in 0..2 {
+                for q in &basis {
+                    let c = vector::dot(&w, q);
+                    vector::axpy(-c, q, &mut w);
+                }
+            }
+            let b = vector::normalize2(&mut w);
+            if b < 1e-10 || basis.len() == g.n() {
+                break;
+            }
+            beta.push(b);
+            basis.push(w);
+        }
+        let tri = acir_linalg::tridiag::tridiag_eig(&alpha, &beta).unwrap();
+        let z = &tri.eigenvectors;
+        let mut krylov = vec![0.0; g.n()];
+        for (j, q) in basis.iter().enumerate() {
+            let c: f64 = (0..alpha.len())
+                .map(|i| z.row(j)[i] * (-t * tri.eigenvalues[i]).exp() * z.row(0)[i])
+                .sum();
+            vector::axpy(s_norm * c, q, &mut krylov);
+        }
+        let cheb = heat_kernel_chebyshev(&g, t, &Seed::Node(2), 50).unwrap();
+        assert!(vector::dist2(&krylov, &cheb) < 1e-9);
+        // t = 0 short-circuits; bad t rejected.
+        let id = heat_kernel_chebyshev(&g, 0.0, &Seed::Node(2), 10).unwrap();
+        assert_eq!(id[2], 1.0);
+        assert!(heat_kernel_chebyshev(&g, -1.0, &Seed::Node(2), 10).is_err());
+    }
+
+    #[test]
     fn batched_diffusions_bit_identical_to_independent_runs() {
         let g = barbell(6, 2).unwrap();
         let seeds = vec![Seed::Node(0), Seed::Node(7), Seed::Uniform];
