@@ -59,10 +59,10 @@ pub mod figures;
 /// ([`SolverOutcome`](runtime::SolverOutcome)) with quality
 /// [`Certificate`](runtime::Certificate)s, divergence guards, retry
 /// policies, and the fault-injection harness. Every metered iterative
-/// kernel in the workspace has a `*_budgeted` variant speaking this
-/// vocabulary; truncation under a budget returns a *certified partial
-/// answer* — the paper's implicitly regularized iterate — never a bare
-/// error.
+/// kernel in the workspace has a `*_ctx` entry point that takes a
+/// [`KernelCtx`](runtime::KernelCtx) carrying this vocabulary;
+/// truncation under a budget returns a *certified partial answer* — the
+/// paper's implicitly regularized iterate — never a bare error.
 pub mod runtime {
     pub use acir_runtime::fault::corrupt;
     pub use acir_runtime::{
@@ -104,18 +104,12 @@ pub mod serve {
 /// binaries are written against.
 pub mod prelude {
     pub use acir_exec::{ExecPool, THREADS_ENV};
-    pub use acir_flow::{flow_improve, mqi, mqi_budgeted, mqi_ctx};
+    pub use acir_flow::{flow_improve, mqi, mqi_ctx};
     pub use acir_graph::gen;
     pub use acir_graph::{bandwidth_stats, Graph, GraphBuilder, NodeId, NodeValued, Permutation};
-    pub use acir_local::push::{
-        ppr_push, ppr_push_batch, ppr_push_budgeted, ppr_push_ctx, ppr_push_ws, PushResult,
-        PushWorkspace,
-    };
+    pub use acir_local::push::{ppr_push, ppr_push_ctx, ppr_push_ws, PushResult, PushWorkspace};
     pub use acir_local::sweep::{set_conductance, sweep_cut, sweep_cut_sparse, sweep_cut_support};
-    pub use acir_local::{
-        hk_relax, hk_relax_budgeted, hk_relax_ctx, mov_vector, nibble, nibble_budgeted, nibble_ctx,
-        HkWorkspace,
-    };
+    pub use acir_local::{hk_relax, hk_relax_ctx, mov_vector, nibble, nibble_ctx, HkWorkspace};
     pub use acir_partition::{
         cheeger_check, cluster_niceness, conductance, multilevel_bisect, ncp_local_spectral,
         ncp_local_spectral_budgeted, ncp_metis_mqi, refine_bisection, spectral_bisect,
@@ -131,9 +125,8 @@ pub mod prelude {
     };
     pub use acir_runtime::{StampedSet, StampedVec, Workspace, WorkspacePool};
     pub use acir_spectral::{
-        fiedler_vector, heat_kernel_chebyshev, heat_kernel_chebyshev_budgeted,
-        heat_kernel_chebyshev_multi, lazy_walk, normalized_laplacian, pagerank, pagerank_budgeted,
-        pagerank_power, pagerank_power_budgeted, pagerank_power_ctx, pagerank_power_multi,
+        fiedler_vector, heat_kernel_chebyshev, heat_kernel_chebyshev_budgeted, lazy_walk,
+        normalized_laplacian, pagerank, pagerank_budgeted, pagerank_power, pagerank_power_ctx,
         spectral_clustering, spectral_embedding, streaming_pagerank_of_graph, Seed,
     };
 

@@ -429,6 +429,7 @@ mod tests {
 
     #[test]
     fn from_env_reads_and_clamps() {
+        let before = std::env::var_os(THREADS_ENV);
         std::env::set_var(THREADS_ENV, "3");
         assert_eq!(ExecPool::from_env().threads(), 3);
         std::env::set_var(THREADS_ENV, "0");
@@ -444,7 +445,10 @@ mod tests {
         assert_eq!(ExecPool::from_env_or(0).threads(), 1);
         std::env::set_var(THREADS_ENV, "2");
         assert_eq!(ExecPool::from_env_or(6).threads(), 2);
-        std::env::remove_var(THREADS_ENV);
+        match before {
+            Some(v) => std::env::set_var(THREADS_ENV, v),
+            None => std::env::remove_var(THREADS_ENV),
+        }
     }
 
     #[test]

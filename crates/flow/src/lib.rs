@@ -34,7 +34,7 @@ pub mod push_relabel;
 
 pub use improve::{flow_improve, FlowImproveResult};
 pub use maxflow::{FlowNetwork, MaxFlowResult};
-pub use mqi::{mqi, mqi_budgeted, mqi_ctx, MqiResult};
+pub use mqi::{mqi, mqi_ctx, MqiResult};
 pub use push_relabel::PushRelabelNetwork;
 
 /// Errors from the flow layer.

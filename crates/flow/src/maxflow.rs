@@ -7,9 +7,7 @@
 //! residue.
 
 use crate::{FlowError, Result};
-use acir_runtime::{
-    Budget, Certificate, DivergenceCause, Exhaustion, GuardConfig, KernelCtx, SolverOutcome,
-};
+use acir_runtime::{Certificate, DivergenceCause, Exhaustion, KernelCtx, SolverOutcome};
 
 /// Residual capacities below this are treated as zero.
 const EPS: f64 = 1e-9;
@@ -185,9 +183,18 @@ impl FlowNetwork {
     /// [`max_flow`](Self::max_flow) under an explicit [`KernelCtx`]: the
     /// same phase loop with metering, guarding, and tracing routed
     /// through the context. An inert context reproduces
-    /// [`max_flow`](Self::max_flow) exactly; see
-    /// [`max_flow_budgeted`](Self::max_flow_budgeted) for the certified
-    /// exhaustion semantics.
+    /// [`max_flow`](Self::max_flow) exactly.
+    ///
+    /// A metered context charges each Dinic blocking-flow phase one
+    /// budget iteration and one arc sweep of work units. On exhaustion
+    /// the flow routed so far is returned as a certified partial answer:
+    /// it is feasible — hence a lower bound on the maximum — and the
+    /// witnessed trivial cut `min(cap out of s, cap into t)` bounds the
+    /// maximum from above, giving a [`Certificate::FlowGap`]. Under a
+    /// guard (consulted only for the running-total finiteness check
+    /// after each phase), a non-finite total (corrupted capacities
+    /// slipped past construction) halts the run as
+    /// [`SolverOutcome::Diverged`] rather than returning a poisoned flow.
     pub fn max_flow_ctx(
         &mut self,
         s: usize,
@@ -239,30 +246,6 @@ impl FlowNetwork {
         side
     }
 
-    /// Budgeted variant of [`max_flow`](Self::max_flow).
-    ///
-    /// Each Dinic blocking-flow phase costs one budget iteration and
-    /// one arc sweep of work units. On exhaustion the flow routed so
-    /// far is returned as a certified partial answer: it is feasible —
-    /// hence a lower bound on the maximum — and the witnessed trivial
-    /// cut `min(cap out of s, cap into t)` bounds the maximum from
-    /// above, giving a [`Certificate::FlowGap`]. A non-finite running
-    /// total (corrupted capacities slipped past construction) halts the
-    /// run as [`SolverOutcome::Diverged`] rather than returning a
-    /// poisoned flow.
-    pub fn max_flow_budgeted(
-        &mut self,
-        s: usize,
-        t: usize,
-        budget: &Budget,
-    ) -> Result<SolverOutcome<MaxFlowResult>> {
-        // The guard is consulted only for the running-total finiteness
-        // check after each blocking-flow phase.
-        let mut ctx =
-            KernelCtx::budgeted("flow.dinic", budget).with_guard(GuardConfig::contamination_only());
-        self.max_flow_ctx(s, t, &mut ctx)
-    }
-
     /// DFS from `u` pushing at most `limit` flow toward `t` along the
     /// level graph; returns the amount pushed.
     fn dfs_push(
@@ -296,6 +279,12 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acir_runtime::{Budget, GuardConfig};
+
+    /// A metered context with the contamination guard.
+    fn budgeted(budget: &Budget) -> KernelCtx {
+        KernelCtx::budgeted("flow.dinic", budget).with_guard(GuardConfig::contamination_only())
+    }
 
     #[test]
     fn single_arc() {
@@ -438,7 +427,9 @@ mod tests {
         net.add_arc(1, 3, 2.0).unwrap();
         net.add_arc(2, 3, 3.0).unwrap();
         let mut plain = net.clone();
-        let out = net.max_flow_budgeted(0, 3, &Budget::unlimited()).unwrap();
+        let out = net
+            .max_flow_ctx(0, 3, &mut budgeted(&Budget::unlimited()))
+            .unwrap();
         assert!(out.is_converged());
         let r = out.value().unwrap();
         let p = plain.max_flow(0, 3).unwrap();
@@ -457,7 +448,9 @@ mod tests {
         net.add_arc(1, 2, 1.0).unwrap();
         net.add_arc(1, 3, 2.0).unwrap();
         net.add_arc(2, 3, 3.0).unwrap();
-        let out = net.max_flow_budgeted(0, 3, &Budget::iterations(2)).unwrap();
+        let out = net
+            .max_flow_ctx(0, 3, &mut budgeted(&Budget::iterations(2)))
+            .unwrap();
         assert!(!out.is_converged() && out.is_usable());
         let (lo, hi) = match out.certificate() {
             Some(&Certificate::FlowGap { value, upper_bound }) => (value, upper_bound),

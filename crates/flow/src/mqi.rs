@@ -26,7 +26,7 @@
 use crate::maxflow::{FlowExit, FlowNetwork};
 use crate::{FlowError, Result};
 use acir_graph::{Graph, NodeId};
-use acir_runtime::{Budget, Certificate, DivergenceCause, GuardConfig, KernelCtx, SolverOutcome};
+use acir_runtime::{Certificate, DivergenceCause, KernelCtx, SolverOutcome};
 
 /// Outcome of MQI.
 #[derive(Debug, Clone)]
@@ -212,8 +212,18 @@ fn mqi_core(
 
 /// [`mqi`] under an explicit [`KernelCtx`]: the same flow-round loop
 /// with metering, guarding, and tracing routed through the context. An
-/// inert context reproduces [`mqi`] exactly; see [`mqi_budgeted`] for
-/// the anytime exhaustion semantics.
+/// inert context reproduces [`mqi`] exactly.
+///
+/// A metered context charges each max-flow round one budget iteration
+/// plus the round's flow-network arcs as work units. MQI is an
+/// *anytime* algorithm — every accepted round strictly improves
+/// conductance, and the current side is always a valid answer — so
+/// exhaustion returns the best set found with a
+/// [`Certificate::FlowGap`] reading `value` = achieved conductance ≤
+/// `upper_bound` = the input side's conductance: the slack is the
+/// improvement already banked, and the guarantee `φ(S) ≤ φ(A)` of
+/// Lang–Rao holds at every truncation point. A guard is consulted only
+/// for the finiteness check on each round's candidate conductance.
 pub fn mqi_ctx(
     g: &Graph,
     a_side: &[NodeId],
@@ -263,32 +273,16 @@ fn finish(g: &Graph, current: &[bool], initial_conductance: f64, iterations: usi
     }
 }
 
-/// Budgeted variant of [`mqi`].
-///
-/// Each max-flow round costs one budget iteration plus the round's
-/// flow-network arcs as work units. MQI is an *anytime* algorithm —
-/// every accepted round strictly improves conductance, and the current
-/// side is always a valid answer — so exhaustion returns the best set
-/// found with a [`Certificate::FlowGap`] reading `value` = achieved
-/// conductance ≤ `upper_bound` = the input side's conductance: the
-/// slack is the improvement already banked, and the guarantee
-/// `φ(S) ≤ φ(A)` of Lang–Rao holds at every truncation point.
-pub fn mqi_budgeted(
-    g: &Graph,
-    a_side: &[NodeId],
-    budget: &Budget,
-) -> Result<SolverOutcome<MqiResult>> {
-    // The guard is consulted only for the finiteness check on each
-    // round's candidate conductance.
-    let mut ctx =
-        KernelCtx::budgeted("flow.mqi", budget).with_guard(GuardConfig::contamination_only());
-    mqi_ctx(g, a_side, &mut ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use acir_graph::gen::deterministic::{barbell, complete, lollipop, path};
+    use acir_runtime::{Budget, GuardConfig};
+
+    /// A metered context with the contamination guard.
+    fn budgeted(budget: &Budget) -> KernelCtx {
+        KernelCtx::budgeted("flow.mqi", budget).with_guard(GuardConfig::contamination_only())
+    }
 
     #[test]
     fn mqi_trims_barbell_side_to_clique() {
@@ -401,7 +395,7 @@ mod tests {
     fn budgeted_unlimited_matches_plain() {
         let g = lollipop(6, 6).unwrap();
         let side = vec![3, 4, 5, 6, 7, 8];
-        let out = mqi_budgeted(&g, &side, &Budget::unlimited()).unwrap();
+        let out = mqi_ctx(&g, &side, &mut budgeted(&Budget::unlimited())).unwrap();
         assert!(out.is_converged());
         let r = out.value().unwrap();
         let p = mqi(&g, &side).unwrap();
@@ -416,7 +410,7 @@ mod tests {
         // input side itself, still certified φ(S) ≤ φ(A).
         let g = lollipop(6, 6).unwrap();
         let side = vec![3, 4, 5, 6, 7, 8];
-        let out = mqi_budgeted(&g, &side, &Budget::iterations(1)).unwrap();
+        let out = mqi_ctx(&g, &side, &mut budgeted(&Budget::iterations(1))).unwrap();
         assert!(!out.is_converged() && out.is_usable());
         let r = out.value().unwrap();
         let (lo, hi) = match out.certificate() {
@@ -434,7 +428,7 @@ mod tests {
     fn budgeted_zero_cut_short_circuits_as_converged() {
         let g = acir_graph::Graph::from_pairs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
             .unwrap();
-        let out = mqi_budgeted(&g, &[0, 1, 2], &Budget::iterations(1)).unwrap();
+        let out = mqi_ctx(&g, &[0, 1, 2], &mut budgeted(&Budget::iterations(1))).unwrap();
         assert!(out.is_converged());
         assert_eq!(out.value().unwrap().conductance, 0.0);
     }

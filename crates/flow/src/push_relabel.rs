@@ -11,7 +11,7 @@
 
 use crate::maxflow::{FlowExit, MaxFlowResult};
 use crate::{FlowError, Result};
-use acir_runtime::{Budget, Certificate, DivergenceCause, GuardConfig, KernelCtx, SolverOutcome};
+use acir_runtime::{Certificate, DivergenceCause, GuardConfig, KernelCtx, SolverOutcome};
 use std::collections::VecDeque;
 
 const EPS: f64 = 1e-9;
@@ -87,33 +87,21 @@ impl PushRelabelNetwork {
         }
     }
 
-    /// Budgeted variant of [`max_flow`](Self::max_flow).
-    ///
-    /// Each node discharge costs one budget iteration plus its arc
-    /// scans as work units. Push–relabel maintains a *preflow*, but the
-    /// excess already collected at `t` decomposes into feasible `s → t`
-    /// paths, so on exhaustion it is a valid lower bound on the maximum
-    /// flow; the witnessed trivial cut `min(cap out of s, cap into t)`
-    /// bounds it from above — a [`Certificate::FlowGap`]. The
-    /// `source_side` of a partial result is residual reachability from
-    /// `s` at the moment the budget ran out. A non-finite sink excess
-    /// halts the run as [`SolverOutcome::Diverged`].
-    pub fn max_flow_budgeted(
-        &mut self,
-        s: usize,
-        t: usize,
-        budget: &Budget,
-    ) -> Result<SolverOutcome<MaxFlowResult>> {
-        // The guard is consulted only for the sink-excess finiteness
-        // check after each discharge.
-        let mut ctx = KernelCtx::budgeted("flow.push_relabel", budget)
-            .with_guard(GuardConfig::contamination_only());
-        self.max_flow_ctx(s, t, &mut ctx)
-    }
-
     /// [`max_flow`](Self::max_flow) under an explicit [`KernelCtx`]:
     /// the same discharge loop with metering, guarding, and tracing
     /// routed through the context.
+    ///
+    /// A metered context charges each node discharge one budget
+    /// iteration plus its arc scans as work units. Push–relabel
+    /// maintains a *preflow*, but the excess already collected at `t`
+    /// decomposes into feasible `s → t` paths, so on exhaustion it is a
+    /// valid lower bound on the maximum flow; the witnessed trivial cut
+    /// `min(cap out of s, cap into t)` bounds it from above — a
+    /// [`Certificate::FlowGap`]. The `source_side` of a partial result is
+    /// residual reachability from `s` at the moment the budget ran out.
+    /// Under a guard (consulted only for the sink-excess finiteness
+    /// check after each discharge), a non-finite sink excess halts the
+    /// run as [`SolverOutcome::Diverged`].
     pub fn max_flow_ctx(
         &mut self,
         s: usize,
@@ -342,8 +330,15 @@ impl PushRelabelNetwork {
 mod tests {
     use super::*;
     use crate::maxflow::FlowNetwork;
+    use acir_runtime::Budget;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A metered context with the contamination guard.
+    fn budgeted(budget: &Budget) -> KernelCtx {
+        KernelCtx::budgeted("flow.push_relabel", budget)
+            .with_guard(GuardConfig::contamination_only())
+    }
 
     #[test]
     fn classic_diamond() {
@@ -423,7 +418,9 @@ mod tests {
         net.add_arc(1, 3, 2.0).unwrap();
         net.add_arc(2, 3, 3.0).unwrap();
         let mut plain = net.clone();
-        let out = net.max_flow_budgeted(0, 3, &Budget::unlimited()).unwrap();
+        let out = net
+            .max_flow_ctx(0, 3, &mut budgeted(&Budget::unlimited()))
+            .unwrap();
         assert!(out.is_converged());
         let r = out.value().unwrap();
         let p = plain.max_flow(0, 3).unwrap();
@@ -440,7 +437,7 @@ mod tests {
             net.add_arc(u, u + 1, 2.0).unwrap();
         }
         let out = net
-            .max_flow_budgeted(0, n - 1, &Budget::iterations(3))
+            .max_flow_ctx(0, n - 1, &mut budgeted(&Budget::iterations(3)))
             .unwrap();
         assert!(!out.is_converged() && out.is_usable());
         let (lo, hi) = match out.certificate() {
@@ -464,7 +461,7 @@ mod tests {
         }
         // A zero deadline exhausts on the very first discharge.
         let out = net
-            .max_flow_budgeted(0, n - 1, &Budget::deadline(Duration::ZERO))
+            .max_flow_ctx(0, n - 1, &mut budgeted(&Budget::deadline(Duration::ZERO)))
             .unwrap();
         assert!(!out.is_converged() && out.is_usable());
         assert!(matches!(

@@ -85,31 +85,31 @@ impl ChebyshevExpansion {
     /// The operator's spectrum must lie inside `[a, b]` (values outside
     /// make the Chebyshev polynomials blow up exponentially).
     ///
-    /// Scratch buffers come from the crate's shared pool, so
-    /// steady-state calls allocate only the returned vector; see
-    /// [`Self::apply_ws`] to supply a caller-owned workspace instead.
+    /// The three recurrence buffers (`T_{k−1} v`, `T_k v`, `T_{k+1} v`)
+    /// come from the crate's shared pool, so steady-state calls
+    /// allocate only the returned vector.
     pub fn apply(&self, op: &dyn LinOp, v: &[f64]) -> Result<Vec<f64>> {
-        crate::SCRATCH.with(|ws| self.apply_ws(op, v, ws))
+        crate::SCRATCH.with(|ws| {
+            let mut ctx = KernelCtx::new();
+            match self.apply_core(op, v, ws, &mut ctx)? {
+                SolverOutcome::Converged { value, .. } => Ok(value),
+                _ => unreachable!("an inert context can neither exhaust nor diverge"),
+            }
+        })
     }
 
-    /// [`Self::apply`] with caller-owned scratch: the three recurrence
-    /// buffers (`T_{k−1} v`, `T_k v`, `T_{k+1} v`) are checked out of
-    /// `ws` and returned to it, so a caller applying the expansion to
-    /// many vectors allocates nothing after the first call.
-    /// Bit-identical to [`Self::apply`].
-    pub fn apply_ws(&self, op: &dyn LinOp, v: &[f64], ws: &mut Workspace) -> Result<Vec<f64>> {
-        let mut ctx = KernelCtx::new();
-        match self.apply_core(op, v, ws, &mut ctx)? {
-            SolverOutcome::Converged { value, .. } => Ok(value),
-            _ => unreachable!("an inert context can neither exhaust nor diverge"),
-        }
-    }
-
-    /// Apply `f(A)·v` against an explicit [`KernelCtx`]: the unified
-    /// entry point that every single-vector variant wraps. Scratch
-    /// comes from the context's pool override or the crate pool.
-    /// ([`Self::apply_multi`] is the blocked-SpMM form of the same
-    /// recurrence and is verified bit-identical per vector.)
+    /// Apply `f(A)·v` against an explicit [`KernelCtx`]. Scratch comes
+    /// from the context's pool override or the crate pool.
+    ///
+    /// Each recurrence step costs one iteration and one work unit (its
+    /// matvec). On budget exhaustion the partial sum through degree `d`
+    /// is returned with a [`Certificate::ResidualNorm`] equal to
+    /// `Σ_{k>d} |c_k| · ‖v‖` — a rigorous bound on the dropped tail
+    /// whenever the spectrum lies in `[a, b]`, since `|T_k| ≤ 1` there.
+    ///
+    /// A spectrum escaping `[a, b]` makes the Chebyshev vectors grow
+    /// exponentially; a guarded context detects this (or any NaN/Inf
+    /// contamination) and returns [`SolverOutcome::Diverged`].
     pub fn apply_ctx(
         &self,
         op: &dyn LinOp,
@@ -226,92 +226,6 @@ impl ChebyshevExpansion {
             Exit::Done => Ok(SolverOutcome::converged(acc, diags)),
         }
     }
-
-    /// Apply `f(A)·vⱼ` to a batch of vectors, advancing the three-term
-    /// recurrences in lockstep so each degree costs one blocked SpMM
-    /// ([`crate::CsrMatrix::matvec_multi`]) over the whole batch instead
-    /// of one matvec per vector. Per-vector arithmetic is identical to
-    /// [`Self::apply`], so every output is bit-identical to the
-    /// corresponding single-vector call.
-    pub fn apply_multi(&self, a: &crate::CsrMatrix, vs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let n = a.nrows();
-        for v in vs {
-            if v.len() != n {
-                return Err(LinalgError::DimensionMismatch {
-                    expected: n,
-                    found: v.len(),
-                });
-            }
-        }
-        if vs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let alpha = 2.0 / (self.b - self.a);
-        let beta = -(self.a + self.b) / (self.b - self.a);
-        // Workspace-backed SpMM plus rotated recurrence buffers: one
-        // staging block checkout per degree and zero fresh output
-        // vectors after the first two degrees.
-        let apply_t_multi =
-            |inputs: &[Vec<f64>], ws: &mut crate::Workspace, outs: &mut Vec<Vec<f64>>| {
-                a.matvec_multi_ws(inputs, ws, outs);
-                for (out, input) in outs.iter_mut().zip(inputs) {
-                    vector::axpby(beta, input, alpha, out);
-                }
-            };
-
-        Ok(crate::SCRATCH.with(|ws| {
-            let mut t_prev: Vec<Vec<f64>> = vs.to_vec();
-            let mut t_curr = Vec::new();
-            apply_t_multi(vs, ws, &mut t_curr);
-            let mut accs: Vec<Vec<f64>> = vs
-                .iter()
-                .map(|v| v.iter().map(|&x| 0.5 * self.coeffs[0] * x).collect())
-                .collect();
-            if self.coeffs.len() > 1 {
-                for (acc, tc) in accs.iter_mut().zip(&t_curr) {
-                    vector::axpy(self.coeffs[1], tc, acc);
-                }
-            }
-            let mut t_next: Vec<Vec<f64>> = Vec::new();
-            for &c in self.coeffs.iter().skip(2) {
-                apply_t_multi(&t_curr, ws, &mut t_next);
-                for ((nx, pr), acc) in t_next.iter_mut().zip(&t_prev).zip(accs.iter_mut()) {
-                    vector::axpby(-1.0, pr, 2.0, nx);
-                    vector::axpy(c, nx, acc);
-                }
-                std::mem::swap(&mut t_prev, &mut t_curr);
-                std::mem::swap(&mut t_curr, &mut t_next);
-            }
-            accs
-        }))
-    }
-}
-
-impl ChebyshevExpansion {
-    /// Apply `f(A)·v` under an explicit resource [`Budget`], with
-    /// blow-up guards and a structured [`SolverOutcome`].
-    ///
-    /// Each recurrence step costs one iteration and one work unit (its
-    /// matvec). On budget exhaustion the partial sum through degree `d`
-    /// is returned with a [`Certificate::ResidualNorm`] equal to
-    /// `Σ_{k>d} |c_k| · ‖v‖` — a rigorous bound on the dropped tail
-    /// whenever the spectrum lies in `[a, b]`, since `|T_k| ≤ 1` there.
-    ///
-    /// A spectrum escaping `[a, b]` makes the Chebyshev vectors grow
-    /// exponentially; the guard detects this (or any NaN/Inf
-    /// contamination) and returns [`SolverOutcome::Diverged`].
-    pub fn apply_budgeted(
-        &self,
-        op: &dyn LinOp,
-        v: &[f64],
-        budget: &Budget,
-    ) -> Result<SolverOutcome<Vec<f64>>> {
-        // The guard is consulted only for NaN/Inf scans and the
-        // interval-escape blow-up check on each Chebyshev vector.
-        let mut ctx = KernelCtx::budgeted("linalg.chebyshev", budget)
-            .with_guard(GuardConfig::contamination_only());
-        self.apply_ctx(op, v, &mut ctx)
-    }
 }
 
 /// Budgeted variant of [`cheb_heat_kernel`]: `exp(−t·A)·v` under an
@@ -331,7 +245,11 @@ pub fn cheb_heat_kernel_budgeted(
         return Err(LinalgError::InvalidArgument("lambda_max must be positive"));
     }
     let exp = ChebyshevExpansion::fit(|x| (-t * x).exp(), 0.0, lambda_max, degree)?;
-    exp.apply_budgeted(op, v, budget)
+    // The guard is consulted only for NaN/Inf scans and the
+    // interval-escape blow-up check on each Chebyshev vector.
+    let mut ctx = KernelCtx::budgeted("linalg.chebyshev", budget)
+        .with_guard(GuardConfig::contamination_only());
+    exp.apply_ctx(op, v, &mut ctx)
 }
 
 /// Convenience: `exp(−t·A)·v` for an operator with spectrum in
@@ -353,27 +271,6 @@ pub fn cheb_heat_kernel(
     exp.apply(op, v)
 }
 
-/// Batched [`cheb_heat_kernel`]: `exp(−t·A)·vⱼ` for every vector in
-/// `vs` with one blocked SpMM per degree. Each output is bit-identical
-/// to the corresponding single-vector call (see
-/// [`ChebyshevExpansion::apply_multi`]).
-pub fn cheb_heat_kernel_multi(
-    a: &crate::CsrMatrix,
-    t: f64,
-    vs: &[Vec<f64>],
-    lambda_max: f64,
-    degree: usize,
-) -> Result<Vec<Vec<f64>>> {
-    if !(t >= 0.0 && t.is_finite()) {
-        return Err(LinalgError::InvalidArgument("t must be nonnegative"));
-    }
-    if !(lambda_max > 0.0 && lambda_max.is_finite()) {
-        return Err(LinalgError::InvalidArgument("lambda_max must be positive"));
-    }
-    let exp = ChebyshevExpansion::fit(|x| (-t * x).exp(), 0.0, lambda_max, degree)?;
-    exp.apply_multi(a, vs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,28 +286,6 @@ mod tests {
             t.push((i + 1, i, -1.0));
         }
         CsrMatrix::from_triplets(n, n, t)
-    }
-
-    #[test]
-    fn apply_multi_bit_identical_to_independent_applies() {
-        let n = 40;
-        let a = path_laplacian(n);
-        let exp = ChebyshevExpansion::fit(|x| (-0.8 * x).exp(), 0.0, 4.0, 25).unwrap();
-        let vs: Vec<Vec<f64>> = (0..3)
-            .map(|s| {
-                let mut v = vec![0.0; n];
-                v[s * 7 + 1] = 1.0;
-                v[s * 11 + 2] = 0.5;
-                v
-            })
-            .collect();
-        let batched = exp.apply_multi(&a, &vs).unwrap();
-        for (v, got) in vs.iter().zip(&batched) {
-            let single = exp.apply(&a, v).unwrap();
-            assert_eq!(&single, got);
-        }
-        assert!(exp.apply_multi(&a, &[]).unwrap().is_empty());
-        assert!(exp.apply_multi(&a, &[vec![0.0; 3]]).is_err());
     }
 
     #[test]
@@ -515,18 +390,25 @@ mod tests {
 
     #[test]
     fn apply_ws_reuse_is_bit_identical() {
+        use acir_runtime::WorkspacePool;
+        static POOL: WorkspacePool<Workspace> = WorkspacePool::new();
         let n = 24;
         let l = path_laplacian(n);
         let exp = ChebyshevExpansion::fit(|x| (-1.3 * x).exp(), 0.0, 4.0, 30).unwrap();
         let mut seed = vec![0.0; n];
         seed[5] = 1.0;
         let first = exp.apply(&l, &seed).unwrap();
-        let mut ws = Workspace::new();
         for _ in 0..3 {
-            let again = exp.apply_ws(&l, &seed, &mut ws).unwrap();
-            assert_eq!(again, first);
+            let mut ctx = KernelCtx::new().with_scratch_pool(&POOL);
+            let again = exp.apply_ctx(&l, &seed, &mut ctx).unwrap();
+            assert_eq!(again.value(), Some(&first));
         }
-        assert_eq!(ws.parked_f64(), 3, "all scratch buffers returned");
+        assert_eq!(POOL.parked(), 1);
+        assert_eq!(
+            POOL.with(|ws| ws.parked_f64()),
+            3,
+            "all scratch buffers returned"
+        );
     }
 
     #[test]

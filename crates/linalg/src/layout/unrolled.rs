@@ -5,7 +5,7 @@
 //! scan (the [`crate::vector::dot`] idiom from the PR 2 `axpby`
 //! family), so results are bit-identical to the scalar kernels. These
 //! functions are also the row primitives the [`super::merge`] layout
-//! and the non-scalar transpose/multi routes build on.
+//! and the non-scalar transpose route build on.
 
 use crate::sparse::CsrMatrix;
 use acir_exec::SpmvLayout;
@@ -104,45 +104,6 @@ pub(crate) fn scatter_rows(a: &CsrMatrix, x: &[f64], rows: std::ops::Range<usize
         while k < len {
             y[cols[k] as usize] += vals[k] * xi;
             k += 1;
-        }
-    }
-}
-
-/// Blocked multi-RHS kernel, 2-wide over the entries: each pair of
-/// entries updates every accumulator with one left-associated
-/// expression `acc[j] + v₀·x₀[j] + v₁·x₁[j]` — per (row, rhs) the
-/// addition sequence is exactly the scalar one-entry-at-a-time order.
-/// `block_chunk` is the row-major staging block of the chunk
-/// (`row-local × k`).
-pub(crate) fn multi_rows(
-    a: &CsrMatrix,
-    xs: &[Vec<f64>],
-    first_row: usize,
-    block_chunk: &mut [f64],
-) {
-    let k = xs.len();
-    let (row_ptr, col_idx, values) = a.raw_parts();
-    for (local, acc) in block_chunk.chunks_exact_mut(k).enumerate() {
-        let r = first_row + local;
-        let lo = row_ptr[r];
-        let hi = row_ptr[r + 1];
-        let mut e = lo;
-        while e + 1 < hi {
-            let c0 = col_idx[e] as usize;
-            let v0 = values[e];
-            let c1 = col_idx[e + 1] as usize;
-            let v1 = values[e + 1];
-            for (aj, x) in acc.iter_mut().zip(xs) {
-                *aj = *aj + v0 * x[c0] + v1 * x[c1];
-            }
-            e += 2;
-        }
-        if e < hi {
-            let c0 = col_idx[e] as usize;
-            let v0 = values[e];
-            for (aj, x) in acc.iter_mut().zip(xs) {
-                *aj += v0 * x[c0];
-            }
         }
     }
 }

@@ -52,11 +52,8 @@ pub use dense::DenseMatrix;
 pub use fault::FaultyOp;
 pub use jacobi::SymEig;
 pub use layout::{MergePlan, SellCSigma, SparseLayout, UnrolledCsr};
-pub use power::{
-    power_method, power_method_budgeted, power_method_ctx, power_method_ws, PowerOptions,
-    PowerResult,
-};
-pub use solve::{cg, cg_budgeted, cg_ctx, cg_ws, CgOptions, CgResult};
+pub use power::{power_method, power_method_budgeted, power_method_ctx, PowerOptions, PowerResult};
+pub use solve::{cg, cg_budgeted, cg_ctx, CgOptions, CgResult};
 pub use sparse::CsrMatrix;
 
 // Resilience-runtime vocabulary, re-exported so downstream crates can
@@ -73,8 +70,8 @@ pub use acir_exec::{current_spmv_layout, spmv_layout_scope, SpmvLayout, SpmvLayo
 /// iterative kernels ([`power_method`], [`cg`],
 /// [`chebyshev::ChebyshevExpansion::apply`]): their `O(n)` recurrence
 /// buffers survive across calls, so steady-state invocations stop
-/// hitting the allocator. The `_ws` variants accept a caller-owned
-/// [`Workspace`] instead for callers that manage their own reuse.
+/// hitting the allocator. A `_ctx` call can draw from another pool
+/// instead ([`acir_runtime::KernelCtx::with_scratch_pool`]).
 pub(crate) static SCRATCH: acir_runtime::WorkspacePool<Workspace> =
     acir_runtime::WorkspacePool::new();
 

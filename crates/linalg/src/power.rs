@@ -62,33 +62,21 @@ pub struct PowerResult {
 /// on non-convergence: per the paper, a truncated run is a legitimate
 /// output, flagged by `converged == false`.
 ///
-/// Scratch buffers come from the crate's shared pool, so steady-state
-/// calls do not allocate beyond the returned eigenvector; see
-/// [`power_method_ws`] to supply a caller-owned workspace instead.
+/// The two `O(n)` recurrence buffers (`A v` and the residual) come from
+/// the crate's shared pool, so steady-state calls do not allocate beyond
+/// the returned eigenvector.
 pub fn power_method(op: &dyn LinOp, v0: &[f64], opts: &PowerOptions) -> Result<PowerResult> {
-    crate::SCRATCH.with(|ws| power_method_ws(op, v0, opts, ws))
+    crate::SCRATCH.with(|ws| {
+        let mut ctx = KernelCtx::new();
+        match power_core(op, v0, opts, ws, &mut ctx)? {
+            SolverOutcome::Converged { value, .. } => Ok(value),
+            _ => unreachable!("an inert context can neither exhaust nor diverge"),
+        }
+    })
 }
 
-/// [`power_method`] with caller-owned scratch: the two `O(n)` recurrence
-/// buffers (`A v` and the residual) are checked out of `ws` and returned
-/// to it, so a caller looping over many seeds allocates nothing after
-/// the first call. Bit-identical to [`power_method`].
-pub fn power_method_ws(
-    op: &dyn LinOp,
-    v0: &[f64],
-    opts: &PowerOptions,
-    ws: &mut Workspace,
-) -> Result<PowerResult> {
-    let mut ctx = KernelCtx::new();
-    match power_core(op, v0, opts, ws, &mut ctx)? {
-        SolverOutcome::Converged { value, .. } => Ok(value),
-        _ => unreachable!("an inert context can neither exhaust nor diverge"),
-    }
-}
-
-/// Power method against an explicit [`KernelCtx`]: the unified entry
-/// point that every legacy variant wraps. Scratch comes from the
-/// context's pool override or the crate pool.
+/// Power method against an explicit [`KernelCtx`]. Scratch comes from
+/// the context's pool override or the crate pool.
 ///
 /// A metered context drives termination entirely through its budget —
 /// clamp the meter to `opts.max_iters` (as [`power_method_budgeted`]

@@ -233,34 +233,21 @@ pub struct CgResult {
 /// [`crate::power_method`], this never errors on hitting the budget —
 /// truncated CG is a regularized solve and is reported as such.
 ///
-/// Scratch buffers come from the crate's shared pool, so steady-state
-/// calls allocate only the returned solution; see [`cg_ws`] to supply a
-/// caller-owned workspace instead.
+/// The three `O(n)` recurrence buffers (residual, search direction,
+/// `A p`) come from the crate's shared pool, so steady-state calls
+/// allocate only the returned solution.
 pub fn cg(op: &dyn LinOp, b: &[f64], x0: &[f64], opts: &CgOptions) -> Result<CgResult> {
-    crate::SCRATCH.with(|ws| cg_ws(op, b, x0, opts, ws))
+    crate::SCRATCH.with(|ws| {
+        let mut ctx = KernelCtx::new();
+        match cg_core(op, b, x0, opts, ws, &mut ctx)? {
+            SolverOutcome::Converged { value, .. } => Ok(value),
+            _ => unreachable!("an inert context can neither exhaust nor diverge"),
+        }
+    })
 }
 
-/// [`cg`] with caller-owned scratch: the three `O(n)` recurrence buffers
-/// (residual, search direction, `A p`) are checked out of `ws` and
-/// returned to it, so a caller looping over many right-hand sides
-/// allocates nothing after the first call. Bit-identical to [`cg`].
-pub fn cg_ws(
-    op: &dyn LinOp,
-    b: &[f64],
-    x0: &[f64],
-    opts: &CgOptions,
-    ws: &mut Workspace,
-) -> Result<CgResult> {
-    let mut ctx = KernelCtx::new();
-    match cg_core(op, b, x0, opts, ws, &mut ctx)? {
-        SolverOutcome::Converged { value, .. } => Ok(value),
-        _ => unreachable!("an inert context can neither exhaust nor diverge"),
-    }
-}
-
-/// Conjugate gradient against an explicit [`KernelCtx`]: the unified
-/// entry point that every legacy variant wraps. Scratch comes from the
-/// context's pool override or the crate pool.
+/// Conjugate gradient against an explicit [`KernelCtx`]. Scratch comes
+/// from the context's pool override or the crate pool.
 ///
 /// A metered context drives termination entirely through its budget —
 /// clamp the meter to `opts.max_iters` (as [`cg_budgeted`] does) if the
@@ -605,6 +592,7 @@ pub fn gauss_seidel(
 mod tests {
     use super::*;
     use crate::sparse::CsrMatrix;
+    use acir_runtime::WorkspacePool;
     use proptest::prelude::*;
 
     fn spd3() -> DenseMatrix {
@@ -726,9 +714,11 @@ mod tests {
         let b = [1.0, 2.0, 3.0];
         let opts = CgOptions::default();
         let first = cg(&a, &b, &[0.0; 3], &opts).unwrap();
-        let mut ws = Workspace::new();
+        static POOL: WorkspacePool<Workspace> = WorkspacePool::new();
         for _ in 0..3 {
-            let again = cg_ws(&a, &b, &[0.0; 3], &opts, &mut ws).unwrap();
+            let mut ctx = KernelCtx::new().with_scratch_pool(&POOL);
+            let out = cg_ctx(&a, &b, &[0.0; 3], &opts, &mut ctx).unwrap();
+            let again = out.value().unwrap();
             assert_eq!(again.x, first.x);
             assert_eq!(
                 again.relative_residual.to_bits(),
@@ -736,7 +726,12 @@ mod tests {
             );
             assert_eq!(again.iterations, first.iterations);
         }
-        assert_eq!(ws.parked_f64(), 3, "all scratch buffers returned");
+        assert_eq!(POOL.parked(), 1);
+        assert_eq!(
+            POOL.with(|ws| ws.parked_f64()),
+            3,
+            "all scratch buffers returned"
+        );
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! ## Parallelism and determinism
 //!
-//! The hot products ([`CsrMatrix::matvec`], [`CsrMatrix::matvec_transpose`],
-//! [`CsrMatrix::matvec_multi`]) run on the ambient [`ExecPool`] once the
-//! matrix is large enough to pay for fan-out. Work is split into
+//! The hot products ([`CsrMatrix::matvec`], [`CsrMatrix::matvec_transpose`])
+//! run on the ambient [`ExecPool`] once the matrix is large enough to pay
+//! for fan-out. Work is split into
 //! **nnz-balanced row chunks** whose boundaries depend only on the matrix
 //! (see [`CsrMatrix::nnz_balanced_row_chunks`]), and chunk partials are
 //! combined in fixed chunk order, so every product is bit-identical from
@@ -22,15 +22,13 @@ use crate::dense::DenseMatrix;
 use crate::layout::{self, AltCache, ChunkPlan, SparseLayout};
 use crate::vector;
 use acir_exec::{ExecPool, SpmvLayout};
-use acir_runtime::Workspace;
 
 /// Below this many stored entries the products stay on their sequential
 /// paths: fan-out costs more than the scan. A size (not thread-count)
 /// threshold, so the chosen path — and its rounding — is reproducible.
 pub(crate) const PAR_MIN_NNZ: usize = 16_384;
 
-/// Target stored entries per row chunk for [`CsrMatrix::matvec`] /
-/// [`CsrMatrix::matvec_multi`].
+/// Target stored entries per row chunk for [`CsrMatrix::matvec`].
 pub(crate) const CHUNK_TARGET_NNZ: usize = 8_192;
 
 /// Chunk-count cap for [`CsrMatrix::matvec_transpose`], which needs one
@@ -264,8 +262,8 @@ impl CsrMatrix {
         (&self.row_ptr, &self.col_idx, &self.values)
     }
 
-    /// The cached nnz-balanced chunk plan shared by [`Self::matvec`]
-    /// and [`Self::matvec_multi`] (built on first use; a pure function
+    /// The cached nnz-balanced chunk plan of [`Self::matvec`]'s row
+    /// routes (built on first use; a pure function
     /// of the matrix, so caching cannot change results — it only drops
     /// the per-call plan allocation and binary searches).
     pub(crate) fn chunk_plan(&self) -> &ChunkPlan {
@@ -410,88 +408,6 @@ impl CsrMatrix {
             }
             for (c, v) in self.row(i) {
                 y[c as usize] += v * xi;
-            }
-        }
-    }
-
-    /// Blocked multi-vector product (SpMM): `ys[j] = A xs[j]` for every
-    /// right-hand side, in **one traversal of the matrix** amortized
-    /// over all `k = xs.len()` vectors.
-    ///
-    /// For each row the stored entries are scanned once and each entry
-    /// updates all `k` accumulators, so the memory traffic over the CSR
-    /// arrays — the bottleneck of sparse products — is paid once
-    /// instead of `k` times. Per (row, rhs) the accumulation order is
-    /// identical to [`CsrMatrix::matvec`], so each returned vector is
-    /// bit-identical to the corresponding independent matvec (a
-    /// property pinned by tests).
-    ///
-    /// Parallelized over the same nnz-balanced row chunks as `matvec`.
-    /// Panics if any `xs[j].len() != ncols`.
-    ///
-    /// Allocates the returned vectors (and checks staging out of the
-    /// crate scratch pool); steady-state callers that can hold buffers
-    /// across calls should use [`Self::matvec_multi_ws`], which reuses
-    /// both and allocates nothing once warm.
-    pub fn matvec_multi(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let mut out = Vec::new();
-        crate::SCRATCH.with(|ws| self.matvec_multi_ws(xs, ws, &mut out));
-        out
-    }
-
-    /// [`Self::matvec_multi`] with caller-held buffers: the staging
-    /// block comes from `ws` and the output vectors in `out` are
-    /// reused (resized and fully overwritten; `out` is truncated or
-    /// grown to `xs.len()` entries). With a warm workspace and a
-    /// same-shape `out`, the sequential path performs **zero heap
-    /// allocations** (pinned by `alloc_gate`); the chunked path
-    /// allocates only its per-call `lens` bookkeeping. Results are
-    /// bit-identical to [`Self::matvec_multi`].
-    pub fn matvec_multi_ws(&self, xs: &[Vec<f64>], ws: &mut Workspace, out: &mut Vec<Vec<f64>>) {
-        let k = xs.len();
-        out.truncate(k);
-        if k == 0 {
-            return;
-        }
-        for (j, x) in xs.iter().enumerate() {
-            assert_eq!(x.len(), self.ncols, "matvec_multi: xs[{j}] length");
-        }
-        let multi: fn(&CsrMatrix, &[Vec<f64>], usize, &mut [f64]) = match self.active_layout() {
-            SpmvLayout::Csr => Self::multi_rows,
-            _ => layout::unrolled::multi_rows,
-        };
-        // Row-major staging block: row i occupies block[i*k..(i+1)*k],
-        // so row chunks own disjoint block slices.
-        let mut block = ws.take_f64(self.nrows * k);
-        if self.nnz() * k < PAR_MIN_NNZ {
-            multi(self, xs, 0, &mut block);
-        } else {
-            let (chunks, _) = self.chunk_plan();
-            let lens: Vec<usize> = chunks.iter().map(|r| r.len() * k).collect();
-            ExecPool::from_env().par_parts_mut(&mut block, &lens, |ci, chunk| {
-                multi(self, xs, chunks[ci].start, chunk);
-            });
-        }
-        // Unstage: column j of the block is output vector j.
-        out.resize_with(k, Vec::new);
-        for (j, outj) in out.iter_mut().enumerate() {
-            outj.clear();
-            outj.extend(block[j..].iter().step_by(k).copied());
-        }
-        ws.put_f64(block);
-    }
-
-    /// Sequential scalar multi-RHS kernel over a row chunk's staging
-    /// block: per (row, rhs) the accumulation order is exactly
-    /// [`Self::matvec_rows`]'s.
-    fn multi_rows(&self, xs: &[Vec<f64>], first_row: usize, block_chunk: &mut [f64]) {
-        let k = xs.len();
-        for (local, acc) in block_chunk.chunks_exact_mut(k).enumerate() {
-            for (c, v) in self.row(first_row + local) {
-                let xc = c as usize;
-                for (a, x) in acc.iter_mut().zip(xs) {
-                    *a += v * x[xc];
-                }
             }
         }
     }
@@ -818,30 +734,24 @@ mod tests {
             .map(|i| ((i % 17) as f64 - 8.0) / 3.0)
             .collect();
         let run = |threads: &str| {
+            let before = std::env::var_os("ACIR_THREADS");
             std::env::set_var("ACIR_THREADS", threads);
             let mut y = vec![0.0; m.nrows()];
             m.matvec(&x, &mut y);
             let mut yt = vec![0.0; m.ncols()];
             m.matvec_transpose(&x, &mut yt);
-            let multi = m.matvec_multi(std::slice::from_ref(&x));
-            std::env::remove_var("ACIR_THREADS");
-            (y, yt, multi)
+            match before {
+                Some(v) => std::env::set_var("ACIR_THREADS", v),
+                None => std::env::remove_var("ACIR_THREADS"),
+            }
+            (y, yt)
         };
-        let (y1, yt1, multi1) = run("1");
+        let (y1, yt1) = run("1");
         for threads in ["2", "4", "7"] {
-            let (yt, ytt, multit) = run(threads);
+            let (yt, ytt) = run(threads);
             assert_eq!(y1, yt, "matvec differs at {threads} threads");
             assert_eq!(yt1, ytt, "matvec_transpose differs at {threads} threads");
-            assert_eq!(multi1, multit, "matvec_multi differs at {threads} threads");
         }
-    }
-
-    #[test]
-    fn matvec_multi_empty_and_single() {
-        let m = upper();
-        assert!(m.matvec_multi(&[]).is_empty());
-        let out = m.matvec_multi(&[vec![1.0, 1.0]]);
-        assert_eq!(out, vec![vec![3.0, 3.0]]);
     }
 
     /// Strategy: random small COO matrix.
@@ -873,24 +783,6 @@ mod tests {
             m.to_dense().gemv(1.0, x, 0.0, &mut y_dense);
             for (a, b) in y_sparse.iter().zip(&y_dense) {
                 prop_assert!((a - b).abs() < 1e-9);
-            }
-        }
-
-        #[test]
-        fn prop_matvec_multi_matches_independent_matvecs(
-            (r, c, trip) in coo_strategy(),
-            xs in proptest::collection::vec(proptest::collection::vec(-5.0..5.0f64, 8), 1..5),
-        ) {
-            let m = CsrMatrix::from_triplets(r, c, trip);
-            let xs: Vec<Vec<f64>> = xs.into_iter().map(|x| x[..c].to_vec()).collect();
-            let multi = m.matvec_multi(&xs);
-            prop_assert_eq!(multi.len(), xs.len());
-            for (j, x) in xs.iter().enumerate() {
-                let mut y = vec![0.0; r];
-                m.matvec(x, &mut y);
-                // Bit-identical, not merely close: the per-(row, rhs)
-                // accumulation order is the same by construction.
-                prop_assert_eq!(&multi[j], &y);
             }
         }
 

@@ -438,6 +438,7 @@ mod tests {
             .map(|(yi, xi)| 0.7 * xi + (-1.9) * yi)
             .collect();
         let want_div: Vec<f64> = x.iter().map(|xi| xi / 3.7).collect();
+        let before = std::env::var_os("ACIR_THREADS");
         for threads in ["1", "4"] {
             std::env::set_var("ACIR_THREADS", threads);
             let mut y = base.clone();
@@ -446,7 +447,10 @@ mod tests {
             let mut d = vec![0.0; n];
             copy_div(3.7, &x, &mut d);
             assert_eq!(d, want_div, "copy_div at {threads} threads");
-            std::env::remove_var("ACIR_THREADS");
+        }
+        match before {
+            Some(v) => std::env::set_var("ACIR_THREADS", v),
+            None => std::env::remove_var("ACIR_THREADS"),
         }
     }
 
@@ -458,6 +462,7 @@ mod tests {
         let base: Vec<f64> = awkward(n).iter().map(|v| v + 0.25).collect();
         let mut want = base.clone();
         naive_axpy(-1.7, &x, &mut want);
+        let before = std::env::var_os("ACIR_THREADS");
         for threads in ["1", "4"] {
             std::env::set_var("ACIR_THREADS", threads);
             let mut got = base.clone();
@@ -472,7 +477,10 @@ mod tests {
                 .iter()
                 .zip(x.iter().zip(&base))
                 .all(|(z, (a, b))| *z == a * b));
-            std::env::remove_var("ACIR_THREADS");
+        }
+        match before {
+            Some(v) => std::env::set_var("ACIR_THREADS", v),
+            None => std::env::remove_var("ACIR_THREADS"),
         }
     }
 

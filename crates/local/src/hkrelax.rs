@@ -17,8 +17,8 @@
 use crate::{LocalError, Result};
 use acir_graph::{Graph, NodeId, NodeValued};
 use acir_runtime::{
-    Budget, Certificate, DivergenceCause, Exhaustion, GuardConfig, KernelCtx, SolverOutcome,
-    StampedSet, StampedVec, WorkspacePool,
+    Certificate, DivergenceCause, Exhaustion, KernelCtx, SolverOutcome, StampedSet, StampedVec,
+    WorkspacePool,
 };
 
 /// Output of [`hk_relax`].
@@ -291,34 +291,18 @@ fn hk_core(
     (result, exit)
 }
 
-/// Truncated heat-kernel diffusion under an explicit resource
-/// [`Budget`], with contamination guards and a structured
-/// [`SolverOutcome`].
-///
-/// Each Taylor term costs one iteration; each edge traversal costs one
-/// work unit. On budget exhaustion the partial diffusion accumulated so
-/// far is returned with a [`Certificate::ResidualMass`]: the heat-kernel
-/// mass not yet delivered (un-accumulated Taylor tail plus ε-truncated
-/// mass), which bounds the ℓ₁ error of the partial vector — a harder
-/// truncation of an already-truncated diffusion, in the paper's spirit.
-/// NaN/Inf contamination of the propagated term diverges.
-pub fn hk_relax_budgeted(
-    g: &Graph,
-    seed: NodeId,
-    t: f64,
-    epsilon: f64,
-    tail_tol: f64,
-    budget: &Budget,
-) -> Result<SolverOutcome<HkRelaxResult>> {
-    // Guard present so the per-contribution finiteness scans run.
-    let mut ctx =
-        KernelCtx::budgeted("local.hk_relax", budget).with_guard(GuardConfig::contamination_only());
-    hk_relax_ctx(g, seed, t, epsilon, tail_tol, &mut ctx)
-}
-
 /// Context-driven truncated heat-kernel diffusion: the [`KernelCtx`]
 /// decides whether the run is metered, guarded, or traced. Scratch is
 /// drawn from the module pool.
+///
+/// A metered context charges one iteration per Taylor term and one work
+/// unit per edge traversal. On budget exhaustion the partial diffusion
+/// accumulated so far is returned with a [`Certificate::ResidualMass`]:
+/// the heat-kernel mass not yet delivered (un-accumulated Taylor tail
+/// plus ε-truncated mass), which bounds the ℓ₁ error of the partial
+/// vector — a harder truncation of an already-truncated diffusion, in
+/// the paper's spirit. Under a guard, NaN/Inf contamination of the
+/// propagated term diverges.
 pub fn hk_relax_ctx(
     g: &Graph,
     seed: NodeId,
@@ -355,6 +339,7 @@ mod tests {
     use acir_graph::gen::deterministic::{barbell, cycle};
     use acir_graph::gen::random::barabasi_albert;
     use acir_linalg::vector;
+    use acir_runtime::{Budget, GuardConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -441,7 +426,9 @@ mod tests {
     #[test]
     fn budgeted_unlimited_matches_plain() {
         let g = cycle(16).unwrap();
-        let out = hk_relax_budgeted(&g, 0, 2.0, 1e-12, 1e-12, &Budget::unlimited()).unwrap();
+        let mut ctx = KernelCtx::budgeted("local.hk_relax", &Budget::unlimited())
+            .with_guard(GuardConfig::contamination_only());
+        let out = hk_relax_ctx(&g, 0, 2.0, 1e-12, 1e-12, &mut ctx).unwrap();
         assert!(out.is_converged());
         let plain = hk_relax(&g, 0, 2.0, 1e-12, 1e-12).unwrap();
         assert_eq!(out.value().unwrap().vector, plain.vector);
@@ -451,7 +438,9 @@ mod tests {
     fn budgeted_exhaustion_certificate_bounds_l1_error() {
         let g = cycle(40).unwrap();
         // Only 2 Taylor terms allowed out of many.
-        let out = hk_relax_budgeted(&g, 0, 6.0, 1e-12, 1e-10, &Budget::iterations(2)).unwrap();
+        let mut ctx = KernelCtx::budgeted("local.hk_relax", &Budget::iterations(2))
+            .with_guard(GuardConfig::contamination_only());
+        let out = hk_relax_ctx(&g, 0, 6.0, 1e-12, 1e-10, &mut ctx).unwrap();
         assert!(!out.is_converged() && out.is_usable());
         let remaining = match out.certificate() {
             Some(&acir_runtime::Certificate::ResidualMass { remaining, .. }) => remaining,

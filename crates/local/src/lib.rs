@@ -41,13 +41,10 @@ pub mod sketch;
 pub mod sweep;
 
 pub use acir_graph::NodeValued;
-pub use hkrelax::{hk_relax, hk_relax_budgeted, hk_relax_ctx, HkRelaxResult, HkWorkspace};
+pub use hkrelax::{hk_relax, hk_relax_ctx, HkRelaxResult, HkWorkspace};
 pub use mov::{mov_vector, MovResult};
-pub use nibble::{nibble, nibble_budgeted, nibble_ctx, NibbleResult};
-pub use push::{
-    ppr_push, ppr_push_batch, ppr_push_batch_outcomes, ppr_push_budgeted, ppr_push_ctx,
-    ppr_push_ws, PushResult, PushWorkspace,
-};
+pub use nibble::{nibble, nibble_ctx, NibbleResult};
+pub use push::{ppr_push, ppr_push_ctx, ppr_push_ws, PushResult, PushWorkspace};
 pub use repair::{
     delta_endpoints, delta_leaves_undisturbed, ppr_repair, ppr_repair_ctx, ppr_repair_relabeled,
     RepairRequest, RepairResult, DEFAULT_REPAIR_MASS_THRESHOLD,

@@ -12,8 +12,7 @@ use crate::sweep::sweep_cut_sparse;
 use crate::{LocalError, Result};
 use acir_graph::{Graph, NodeId, NodeValued, Permutation};
 use acir_runtime::{
-    Budget, Certificate, DivergenceCause, Exhaustion, GuardConfig, KernelCtx, SolverOutcome,
-    StampedVec, WorkspacePool,
+    Certificate, DivergenceCause, Exhaustion, KernelCtx, SolverOutcome, StampedVec, WorkspacePool,
 };
 
 /// Output of [`nibble`].
@@ -90,27 +89,14 @@ fn validate_nibble_args(g: &Graph, seed: NodeId, steps: usize, epsilon: f64) -> 
     Ok(())
 }
 
-/// Truncated random walks under an explicit resource [`Budget`].
-///
-/// Each walk step costs one iteration; each edge traversal costs one
-/// work unit. On exhaustion the best cluster seen so far is returned
-/// with a [`Certificate::ResidualMass`] recording the truncation leak —
-/// a walk stopped early is just a harder truncation of the same
-/// diffusion. NaN/Inf contamination diverges.
-pub fn nibble_budgeted(
-    g: &Graph,
-    seed: NodeId,
-    steps: usize,
-    epsilon: f64,
-    budget: &Budget,
-) -> Result<SolverOutcome<NibbleResult>> {
-    let mut ctx =
-        KernelCtx::budgeted("local.nibble", budget).with_guard(GuardConfig::contamination_only());
-    nibble_ctx(g, seed, steps, epsilon, &mut ctx)
-}
-
 /// Context-driven truncated random walks: the [`KernelCtx`] decides
 /// whether the run is metered, guarded, or traced.
+///
+/// A metered context charges one iteration per walk step and one work
+/// unit per edge traversal. On exhaustion the best cluster seen so far
+/// is returned with a [`Certificate::ResidualMass`] recording the
+/// truncation leak — a walk stopped early is just a harder truncation
+/// of the same diffusion. Under a guard, NaN/Inf contamination diverges.
 pub fn nibble_ctx(
     g: &Graph,
     seed: NodeId,

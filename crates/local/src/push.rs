@@ -24,8 +24,8 @@
 use crate::{LocalError, Result};
 use acir_graph::{Graph, NodeId, NodeValued};
 use acir_runtime::{
-    Budget, Certificate, Diagnostics, DivergenceCause, Exhaustion, GuardConfig, KernelCtx,
-    SolverOutcome, StampedSet, StampedVec, WorkspacePool,
+    Certificate, Diagnostics, DivergenceCause, Exhaustion, KernelCtx, SolverOutcome, StampedSet,
+    StampedVec, WorkspacePool,
 };
 use std::collections::VecDeque;
 
@@ -156,7 +156,7 @@ impl PushWorkspace {
 }
 
 /// Pool backing every pooled entry point of the push family — the plain
-/// [`ppr_push`] / [`ppr_push_batch`] / [`ppr_push_ctx`] APIs, the repair
+/// [`ppr_push`] / [`ppr_push_ctx`] APIs, the repair
 /// kernel in [`crate::repair`] and the splice in [`crate::sketch`], all of
 /// which run [`resume_push`] on this one scratch shape — so repeated
 /// calls reuse scratch without the caller holding a workspace.
@@ -201,8 +201,7 @@ pub fn ppr_push_ws(
 }
 
 /// Parameter and seed validation shared by every push entry point
-/// (including the splice path in [`crate::sketch`]), and hoisted out of
-/// the per-item loop by [`ppr_push_batch`].
+/// (including the splice path in [`crate::sketch`]).
 pub(crate) fn validate_push_args(
     g: &Graph,
     seeds: &[NodeId],
@@ -459,105 +458,20 @@ pub(crate) fn push_core(
     Ok(harvest(ws, run, out))
 }
 
-/// Run [`ppr_push`] for many seed sets in one call, fanned out over the
-/// ambient [`acir_exec::ExecPool`].
-///
-/// Each push is strongly local (its work is output-sized, independent
-/// of `n`), so a batch of seeds is embarrassingly parallel; results come
-/// back in input order and each entry is exactly what the corresponding
-/// single-seed call returns, at any thread count. The whole batch fails
-/// on the first invalid seed set — parameter errors are programmer
-/// errors, not data-dependent outcomes — and all validation happens up
-/// front, before any diffusion work is spent. Workers draw scratch from
-/// the shared workspace pool, so a batch of thousands of pushes
-/// materializes at most one workspace per concurrently-live worker.
-pub fn ppr_push_batch(
-    g: &Graph,
-    seed_sets: &[Vec<NodeId>],
-    alpha: f64,
-    epsilon: f64,
-) -> Result<Vec<PushResult>> {
-    for seeds in seed_sets {
-        validate_push_args(g, seeds, alpha, epsilon)?;
-    }
-    let outs = acir_exec::ExecPool::from_env().par_map(seed_sets, 1, |seeds| {
-        let mut out = PushResult::empty();
-        let mut ctx = KernelCtx::new();
-        PUSH_POOL.with(|ws| push_core(g, seeds, alpha, epsilon, ws, &mut out, &mut ctx))?;
-        Ok::<PushResult, LocalError>(out)
-    });
-    outs.into_iter().collect()
-}
-
-/// Batched, per-item-budgeted, panic-isolated push: the serving-layer
-/// entry point. `budgets[i]` meters item `i`; the two slices must have
-/// equal length.
-///
-/// Every item comes back as its own [`SolverOutcome`], never an error
-/// and never a panic escaping the batch:
-///
-/// * a clean run is `Converged` (bit-identical to what
-///   [`ppr_push_budgeted`] returns for the same item, at any thread
-///   count — asserted by tests);
-/// * budget exhaustion is `BudgetExhausted` with the usual
-///   [`Certificate::ResidualMass`];
-/// * NaN/Inf contamination is `Diverged` via the contamination guard;
-/// * a worker panic is caught by [`acir_exec::panic_fence`] and lands
-///   as `Diverged` with the panic message in the event trail, leaving
-///   every other item of the batch intact.
-///
-/// Argument validation still fails the whole batch up front (parameter
-/// errors are programmer errors, not data-dependent outcomes).
-pub fn ppr_push_batch_outcomes(
-    g: &Graph,
-    seed_sets: &[Vec<NodeId>],
-    alpha: f64,
-    epsilon: f64,
-    budgets: &[Budget],
-) -> Result<Vec<SolverOutcome<PushResult>>> {
-    if seed_sets.len() != budgets.len() {
-        return Err(LocalError::InvalidArgument(format!(
-            "ppr_push_batch_outcomes: {} seed sets but {} budgets",
-            seed_sets.len(),
-            budgets.len()
-        )));
-    }
-    for seeds in seed_sets {
-        validate_push_args(g, seeds, alpha, epsilon)?;
-    }
-    let items: Vec<usize> = (0..seed_sets.len()).collect();
-    let fenced = acir_exec::ExecPool::from_env().try_par_map(&items, 1, |&i| {
-        let mut ctx = KernelCtx::budgeted("local.ppr_push", &budgets[i])
-            .with_guard(GuardConfig::contamination_only());
-        ppr_push_ctx(g, &seed_sets[i], alpha, epsilon, &mut ctx)
-    });
-    let breakdown = |what, note| {
-        let mut diags = Diagnostics::new();
-        diags.note(note);
-        SolverOutcome::diverged(DivergenceCause::Breakdown { at_iter: 0, what }, diags)
-    };
-    Ok(fenced
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(Ok(outcome)) => outcome,
-            // Unreachable after up-front validation, but a batch item
-            // must never poison its neighbors.
-            Ok(Err(err)) => breakdown(
-                "batch item returned an error",
-                format!("batch item error: {err}"),
-            ),
-            Err(panic_msg) => breakdown(
-                "worker panicked mid-push",
-                format!("worker panic: {panic_msg}"),
-            ),
-        })
-        .collect())
-}
-
 /// Context-driven ACL push: the [`KernelCtx`] decides whether the run is
 /// metered, guarded against contamination, or traced. Scratch is drawn
 /// from the module pool; the result is structured as a
 /// [`SolverOutcome`] even for inert contexts (which always converge).
+///
+/// A metered context charges one iteration per push and one work unit
+/// per edge traversal. On budget exhaustion the partial diffusion is
+/// returned with a [`Certificate::ResidualMass`]: the un-pushed residual
+/// mass and the worst per-degree residual, which by the ACL invariant
+/// `p + pr_α(r) = pr_α(s)` bound the pointwise error of the truncated
+/// vector — the partial push *is* a more aggressively regularized PPR,
+/// not a failure. Under a guard (`GuardConfig::contamination_only()`),
+/// NaN/Inf contamination (e.g. corrupted edge weights) yields
+/// [`SolverOutcome::Diverged`].
 pub fn ppr_push_ctx(
     g: &Graph,
     seeds: &[NodeId],
@@ -569,31 +483,6 @@ pub fn ppr_push_ctx(
     let mut out = PushResult::empty();
     let exit = PUSH_POOL.with(|ws| push_core(g, seeds, alpha, epsilon, ws, &mut out, ctx))?;
     Ok(exit.outcome(out, ctx.finish()))
-}
-
-/// ACL push under an explicit resource [`Budget`], with contamination
-/// guards and a structured [`SolverOutcome`].
-///
-/// Each push costs one iteration; each edge traversal costs one work
-/// unit. On budget exhaustion the partial diffusion is returned with a
-/// [`Certificate::ResidualMass`]: the un-pushed residual mass and the
-/// worst per-degree residual, which by the ACL invariant
-/// `p + pr_α(r) = pr_α(s)` bound the pointwise error of the truncated
-/// vector — the partial push *is* a more aggressively regularized PPR,
-/// not a failure. NaN/Inf contamination (e.g. corrupted edge weights)
-/// yields [`SolverOutcome::Diverged`].
-pub fn ppr_push_budgeted(
-    g: &Graph,
-    seeds: &[NodeId],
-    alpha: f64,
-    epsilon: f64,
-    budget: &Budget,
-) -> Result<SolverOutcome<PushResult>> {
-    // Guard present so the in-loop NaN/Inf residual scans run and the
-    // push-bound trip becomes a structured divergence.
-    let mut ctx =
-        KernelCtx::budgeted("local.ppr_push", budget).with_guard(GuardConfig::contamination_only());
-    ppr_push_ctx(g, seeds, alpha, epsilon, &mut ctx)
 }
 
 /// Exact lazy-walk PPR by dense fixed-point iteration — the reference
@@ -640,75 +529,9 @@ mod tests {
     use crate::sweep::{set_conductance, sweep_cut_support};
     use acir_graph::gen::deterministic::{barbell, cycle, lollipop};
     use acir_graph::gen::random::barabasi_albert;
+    use acir_runtime::{Budget, GuardConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn push_batch_matches_single_runs_at_any_thread_count() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = barabasi_albert(&mut rng, 300, 3).unwrap();
-        let seed_sets: Vec<Vec<NodeId>> = vec![vec![0], vec![5, 9], vec![42], vec![100, 200, 17]];
-        let singles: Vec<PushResult> = seed_sets
-            .iter()
-            .map(|s| ppr_push(&g, s, 0.1, 1e-4).unwrap())
-            .collect();
-        for threads in ["1", "4"] {
-            std::env::set_var("ACIR_THREADS", threads);
-            let batch = ppr_push_batch(&g, &seed_sets, 0.1, 1e-4).unwrap();
-            assert_eq!(batch.len(), singles.len());
-            for (got, want) in batch.iter().zip(&singles) {
-                assert_eq!(got.vector, want.vector, "at {threads} threads");
-                assert_eq!(got.pushes, want.pushes);
-                assert_eq!(got.work, want.work);
-                assert_eq!(got.residual_mass.to_bits(), want.residual_mass.to_bits());
-            }
-            std::env::remove_var("ACIR_THREADS");
-        }
-        // One bad seed set poisons the whole batch.
-        assert!(ppr_push_batch(&g, &[vec![0], vec![]], 0.1, 1e-4).is_err());
-    }
-
-    #[test]
-    fn batch_outcomes_bit_identical_to_solo_budgeted_path() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = barabasi_albert(&mut rng, 300, 3).unwrap();
-        let seed_sets: Vec<Vec<NodeId>> = vec![vec![0], vec![5, 9], vec![42], vec![100, 200, 17]];
-        let budgets = vec![
-            Budget::unlimited(),
-            Budget::iterations(4),
-            Budget::work(50),
-            Budget::unlimited(),
-        ];
-        let solo: Vec<_> = seed_sets
-            .iter()
-            .zip(&budgets)
-            .map(|(s, b)| ppr_push_budgeted(&g, s, 0.1, 1e-4, b).unwrap())
-            .collect();
-        for threads in ["1", "4"] {
-            std::env::set_var("ACIR_THREADS", threads);
-            let batch = ppr_push_batch_outcomes(&g, &seed_sets, 0.1, 1e-4, &budgets).unwrap();
-            std::env::remove_var("ACIR_THREADS");
-            assert_eq!(batch.len(), solo.len());
-            for (i, (got, want)) in batch.iter().zip(&solo).enumerate() {
-                assert_eq!(got.is_converged(), want.is_converged(), "item {i}");
-                let (gv, wv) = (got.value().unwrap(), want.value().unwrap());
-                assert_eq!(gv.vector, wv.vector, "item {i} at {threads} threads");
-                assert_eq!(gv.pushes, wv.pushes);
-                assert_eq!(gv.residual_mass.to_bits(), wv.residual_mass.to_bits());
-            }
-        }
-        // Items under tight budgets exhaust with a certificate instead
-        // of erroring out.
-        let batch = ppr_push_batch_outcomes(&g, &seed_sets, 0.1, 1e-4, &budgets).unwrap();
-        assert!(!batch[1].is_converged() && batch[1].is_usable());
-        assert!(matches!(
-            batch[1].certificate(),
-            Some(acir_runtime::Certificate::ResidualMass { .. })
-        ));
-        // Length mismatch and bad seeds fail the batch up front.
-        assert!(ppr_push_batch_outcomes(&g, &seed_sets, 0.1, 1e-4, &budgets[..2]).is_err());
-        assert!(ppr_push_batch_outcomes(&g, &[vec![]], 0.1, 1e-4, &[Budget::unlimited()]).is_err());
-    }
 
     #[test]
     fn push_residuals_below_threshold() {
@@ -810,7 +633,9 @@ mod tests {
     #[test]
     fn budgeted_unlimited_matches_plain() {
         let g = barbell(6, 2).unwrap();
-        let out = ppr_push_budgeted(&g, &[0], 0.1, 1e-4, &Budget::unlimited()).unwrap();
+        let mut ctx = KernelCtx::budgeted("local.ppr_push", &Budget::unlimited())
+            .with_guard(GuardConfig::contamination_only());
+        let out = ppr_push_ctx(&g, &[0], 0.1, 1e-4, &mut ctx).unwrap();
         assert!(out.is_converged());
         let plain = ppr_push(&g, &[0], 0.1, 1e-4).unwrap();
         assert_eq!(out.value().unwrap().vector, plain.vector);
@@ -820,7 +645,9 @@ mod tests {
     #[test]
     fn budgeted_exhaustion_certificate_bounds_error() {
         let g = barbell(10, 2).unwrap();
-        let out = ppr_push_budgeted(&g, &[0], 0.05, 1e-6, &Budget::iterations(5)).unwrap();
+        let mut ctx = KernelCtx::budgeted("local.ppr_push", &Budget::iterations(5))
+            .with_guard(GuardConfig::contamination_only());
+        let out = ppr_push_ctx(&g, &[0], 0.05, 1e-6, &mut ctx).unwrap();
         assert!(!out.is_converged() && out.is_usable());
         let (remaining, per_degree) = match out.certificate() {
             Some(&acir_runtime::Certificate::ResidualMass {
@@ -863,7 +690,7 @@ mod tests {
     fn corrupted_edge_lists_rejected_before_push() {
         // Graph-level fault injection: the CSR constructor is the first
         // line of defense — corrupted triplets must never reach a
-        // diffusion. (In-loop NaN guards in ppr_push_budgeted remain as
+        // diffusion. (In-loop NaN guards in a guarded ppr_push_ctx remain as
         // defense-in-depth for operators built outside `Graph`.)
         use acir_runtime::fault::corrupt;
         let base: Vec<(u32, u32, f64)> = (0..9).map(|i| (i, i + 1, 1.0)).collect();

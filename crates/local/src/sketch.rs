@@ -784,10 +784,10 @@ mod tests {
     fn build_is_thread_count_invariant() {
         let g = ba(300, 9);
         let mut baseline: Option<SketchSet> = None;
+        let before = std::env::var_os(acir_exec::THREADS_ENV);
         for threads in ["1", "4"] {
             std::env::set_var(acir_exec::THREADS_ENV, threads);
             let set = build_hub_sketches(&g, 16, 0.1, 1e-4).unwrap();
-            std::env::remove_var(acir_exec::THREADS_ENV);
             if let Some(b) = &baseline {
                 for (a, c) in b.sketches().iter().zip(set.sketches()) {
                     assert_eq!(a.hub, c.hub);
@@ -798,6 +798,10 @@ mod tests {
             } else {
                 baseline = Some(set);
             }
+        }
+        match before {
+            Some(v) => std::env::set_var(acir_exec::THREADS_ENV, v),
+            None => std::env::remove_var(acir_exec::THREADS_ENV),
         }
     }
 

@@ -1,16 +1,12 @@
 //! The single seam through which every cross-cutting concern reaches a
 //! kernel: [`KernelCtx`].
 //!
-//! PRs 1–4 threaded four concerns (budgets/resilience, deterministic
-//! parallelism, structured observability, workspace reuse) through the
-//! iterative kernels as *additive named variants* — `power_method` /
-//! `power_method_ws` / `power_method_budgeted`, `ppr_push` / `_ws` /
-//! `_batch` / `_budgeted`, and so on — leaving each algorithm with two
-//! to four near-duplicate loops. `KernelCtx` collapses that
-//! combinatorial API: each kernel keeps **exactly one core iteration
-//! loop** (marked `// CORE LOOP` in its module) parameterized by
-//! `&mut KernelCtx`, and every legacy entry point becomes a thin
-//! wrapper that builds the appropriate context.
+//! Each iterative kernel keeps **exactly one core iteration loop**
+//! (marked `// CORE LOOP` in its module) parameterized by
+//! `&mut KernelCtx`, and ships two spellings: the bare name runs that
+//! loop under an inert context, and `*_ctx` runs it under the caller's
+//! — budget, guard, trace, pools and faults all ride in the context
+//! instead of in named variants.
 //!
 //! The five concerns and how they ride in the context:
 //!
@@ -34,9 +30,9 @@
 //! `KernelCtx::default()` is deliberately cheap: every field is `None`,
 //! construction allocates nothing, and each hook compiles down to a
 //! branch on a discriminant — so the steady-state allocation-free
-//! guarantees of the `_ws` entry points (enforced by the `alloc_gate`
-//! test) survive the unification, and the plain entry points pay no
-//! observable overhead for concerns they never asked for.
+//! guarantee of `ppr_push_ws` (enforced by the `alloc_gate` test) holds,
+//! and the plain entry points pay no observable overhead for concerns
+//! they never asked for.
 
 use crate::budget::{Budget, BudgetMeter, Exhaustion};
 use crate::diagnostics::Diagnostics;

@@ -37,8 +37,8 @@
 //!   the guardrails actually fire;
 //! * [`KernelCtx`] — the single seam bundling all of the above (plus
 //!   an execution-pool handle and fault hooks) behind one `&mut`
-//!   parameter, so each kernel keeps exactly one core iteration loop
-//!   and every legacy entry point is a thin context-building wrapper;
+//!   parameter, so each kernel keeps exactly one core iteration loop:
+//!   its bare name runs it inert, its `*_ctx` name under a context;
 //! * [`workspace`] — reusable kernel scratch: epoch-stamped dense
 //!   arrays with `O(|touched|)` reset ([`StampedVec`]/[`StampedSet`]),
 //!   buffer freelists ([`Workspace`]), and a checkout pool

@@ -9,7 +9,7 @@
 //! run_pending ──► answer cache (exact (seeds, α, ε, epoch) hit → Cached)
 //!             ──► ladder (requested ε → coarser ε → fallback)
 //!             ──► sketch splice (attempt 0, when hub sketches cover
-//!                 the epoch and α) or lockstep batch attempt
+//!                 the epoch and α) or raw push, fanned out per batch
 //!             ──► RetryPolicy supervision (panic fence + NaN guard,
 //!                 exponential backoff, capped attempts; retries take
 //!                 the raw push path, so a faulty splice degrades to
@@ -69,7 +69,7 @@ use crate::chaos::ChaosConfig;
 use crate::store::SketchStore;
 use acir_graph::snapshot::{compact_ordered, CompactionOrder, GraphSnapshot, SnapshotStore};
 use acir_graph::{compose_net_deltas, DeltaGraph, EdgeDelta, EdgeOp, Graph, NodeId, Permutation};
-use acir_local::push::{ppr_push_batch_outcomes, ppr_push_ctx, PushResult};
+use acir_local::push::{ppr_push_ctx, PushResult};
 use acir_local::repair::{
     delta_endpoints, delta_leaves_undisturbed, ppr_repair, ppr_repair_relabeled, RepairRequest,
     RepairResult, DEFAULT_REPAIR_MASS_THRESHOLD,
@@ -78,7 +78,7 @@ use acir_local::sketch::{ppr_push_spliced_ctx, SketchSet};
 use acir_local::sweep::sweep_cut_sparse;
 use acir_runtime::{
     Backoff, Budget, Certificate, Diagnostics, DivergenceCause, GuardConfig, KernelCtx,
-    RetryPolicy, SolverOutcome, SpmvLayout,
+    RetryPolicy, SolverOutcome,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -152,11 +152,6 @@ pub struct EngineConfig {
     pub ladder_rungs: u32,
     /// Fault-injection plan for chaos testing; `None` in production.
     pub chaos: Option<ChaosConfig>,
-    /// SpMV layout preference installed on every attempt's
-    /// [`KernelCtx`] (ambient for any sparse products the attempt
-    /// performs, and recorded in its trace). `None` keeps the process
-    /// default (`ACIR_SPMV_LAYOUT` or scalar CSR).
-    pub spmv: Option<SpmvLayout>,
     /// Number of top-degree hubs to precompute PPR sketches from;
     /// `0` disables the sketch-splice path entirely. Sketches are
     /// rebuilt on every graph swap.
@@ -201,7 +196,6 @@ impl Default for EngineConfig {
             backoff: Backoff::none(),
             ladder_rungs: 2,
             chaos: None,
-            spmv: None,
             sketch_hubs: 0,
             sketch_alpha: 0.1,
             sketch_epsilon: 1e-5,
@@ -1714,8 +1708,8 @@ impl Engine {
         Some((eps_used, budget))
     }
 
-    /// Execute everything queued: ladder selection, lockstep batching
-    /// of compatible requests, retry supervision, fallback service.
+    /// Execute everything queued: ladder selection, batching of
+    /// compatible requests, retry supervision, fallback service.
     /// Returns exactly one certified [`Response`] per queued request,
     /// in admission order, and refills the token bucket for the next
     /// cycle.
@@ -1796,7 +1790,7 @@ impl Engine {
         self.queue = pending;
 
         // Coalesce compatible requests (same α, same ε rung, same
-        // pinned epoch) into one lockstep batch call for attempt 0.
+        // pinned epoch) into one parallel fan-out of attempt 0.
         // BTreeMap keys keep group order deterministic. Same epoch ⇒
         // same published snapshot, so the whole group shares one
         // pinned graph — including groups whose snapshot has since
@@ -1819,60 +1813,25 @@ impl Engine {
             let pinned_store = computes[idxs[0]].0.sketches.clone();
             let alpha = computes[idxs[0]].0.query.alpha;
             let eps = computes[idxs[0]].1;
-            let splice =
-                Engine::splice_set(pinned_store.as_deref(), alpha, eps, snap.epoch()).is_some();
-            if splice {
+            let set = Engine::splice_set(pinned_store.as_deref(), alpha, eps, snap.epoch());
+            if set.is_some() {
                 for &i in idxs {
                     self.trace.request_stage(computes[i].0.id, "splice");
                 }
                 self.stats.spliced += idxs.len() as u64;
             }
-            let seed_sets: Vec<Vec<NodeId>> = idxs
-                .iter()
-                .map(|&i| computes[i].0.internal_seeds())
-                .collect();
-            if self.cfg.chaos.is_none() && !splice {
-                let budgets: Vec<Budget> = idxs.iter().map(|&i| computes[i].2).collect();
-                if let Ok(outs) =
-                    ppr_push_batch_outcomes(snap.graph(), &seed_sets, alpha, eps, &budgets)
-                {
-                    for (&slot, out) in idxs.iter().zip(outs) {
-                        firsts[slot] = Some(out);
-                    }
-                }
-            } else {
-                // Chaos- or sketch-instrumented lockstep call: same
-                // per-item budgeted/guarded context as the batch entry
-                // point, plus the fault hooks and (attempt 0 only) the
-                // sketch splice, each item behind its own fence.
-                let g = snap.graph();
-                let chaos = self.cfg.chaos.as_ref();
-                let spmv = self.cfg.spmv;
-                let set = if splice {
-                    pinned_store.as_deref().map(|s| s.set())
-                } else {
-                    None
-                };
-                let positions: Vec<usize> = (0..idxs.len()).collect();
-                let outs = acir_exec::ExecPool::from_env().par_map(&positions, 1, |&k| {
-                    let i = idxs[k];
-                    let (p, e, b) = &computes[i];
-                    supervised_attempt(
-                        g,
-                        chaos,
-                        spmv,
-                        set,
-                        p.id,
-                        &seed_sets[k],
-                        p.query.alpha,
-                        *e,
-                        b,
-                        0,
-                    )
-                });
-                for (&slot, out) in idxs.iter().zip(outs) {
-                    firsts[slot] = Some(out);
-                }
+            // One supervised attempt per item (budgeted/guarded
+            // context, fault hooks, the sketch splice and response
+            // validation), each behind its own fence.
+            let g = snap.graph();
+            let chaos = self.cfg.chaos.as_ref();
+            let outs = acir_exec::ExecPool::from_env().par_map(idxs, 1, |&i| {
+                let (p, e, b) = &computes[i];
+                let seeds = p.internal_seeds();
+                supervised_attempt(g, chaos, set, p.id, &seeds, p.query.alpha, *e, b, 0)
+            });
+            for (&slot, out) in idxs.iter().zip(outs) {
+                firsts[slot] = Some(out);
             }
         }
 
@@ -1923,20 +1882,18 @@ impl Engine {
         let out = {
             let g = p.snapshot.graph();
             let chaos = self.cfg.chaos.as_ref();
-            let spmv = self.cfg.spmv;
             let mut first = first;
             let run: Result<_, std::convert::Infallible> = policy.run(|k| {
                 Ok(match first.take() {
                     Some(o) if k == 0 => o,
-                    // Retries (and solo first attempts) always take the
-                    // raw push path against the pinned snapshot: a
-                    // fault during a splice degrades to raw push before
-                    // descending the ladder, and a writer publishing
-                    // mid-retry never changes what this request sees.
+                    // Retries always take the raw push path against
+                    // the pinned snapshot: a fault during a splice
+                    // degrades to raw push before descending the
+                    // ladder, and a writer publishing mid-retry never
+                    // changes what this request sees.
                     _ => supervised_attempt(
                         g,
                         chaos,
-                        spmv,
                         None,
                         p.id,
                         &seeds_internal,
@@ -2223,7 +2180,6 @@ fn externalize(snap: &GraphSnapshot, v: Vec<(NodeId, f64)>) -> Vec<(NodeId, f64)
 fn supervised_attempt(
     g: &Graph,
     chaos: Option<&ChaosConfig>,
-    spmv: Option<SpmvLayout>,
     sketches: Option<&SketchSet>,
     id: u64,
     seeds: &[NodeId],
@@ -2240,13 +2196,6 @@ fn supervised_attempt(
         }
         let mut ctx = KernelCtx::budgeted("serve.query", budget)
             .with_guard(GuardConfig::contamination_only());
-        if let Some(layout) = spmv {
-            ctx = ctx.with_spmv_layout(layout);
-        }
-        // Ambient for every sparse product this attempt performs (and
-        // recorded in the trace); the push kernel itself is a local
-        // sweep, but degraded rungs and future kernels inherit it.
-        let _spmv = ctx.spmv_scope();
         match sketches {
             Some(set) => ppr_push_spliced_ctx(g, seeds, alpha, epsilon, set, &mut ctx)
                 .map(|o| o.map(PushResult::from)),
@@ -2337,7 +2286,6 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use acir_graph::gen::deterministic::{barbell, cycle};
-    use acir_local::push::ppr_push_budgeted;
 
     fn quiet<T>(f: impl FnOnce() -> T) -> T {
         let prev = std::panic::take_hook();
@@ -2428,6 +2376,7 @@ mod tests {
             capacity: 1_000_000,
             ..EngineConfig::default()
         };
+        let before = std::env::var_os(acir_exec::THREADS_ENV);
         for threads in ["1", "4"] {
             std::env::set_var(acir_exec::THREADS_ENV, threads);
             let mut e = Engine::new(g.clone(), cfg.clone());
@@ -2443,7 +2392,9 @@ mod tests {
             assert_eq!(responses.len(), 3);
             for ((r, s), grant) in responses.iter().zip(&seeds).zip(&grants) {
                 assert_eq!(r.kind, ResponseKind::Full, "at {threads} threads");
-                let solo = ppr_push_budgeted(&g, s, 0.1, 1e-2, &Budget::work(*grant)).unwrap();
+                let mut ctx = KernelCtx::budgeted("serve.query", &Budget::work(*grant))
+                    .with_guard(GuardConfig::contamination_only());
+                let solo = ppr_push_ctx(&g, s, 0.1, 1e-2, &mut ctx).unwrap();
                 let want = &solo.value().unwrap().vector;
                 assert_eq!(&r.cluster, want, "at {threads} threads");
                 match r.certificate {
@@ -2454,7 +2405,10 @@ mod tests {
                     c => panic!("wrong certificate {c:?}"),
                 }
             }
-            std::env::remove_var(acir_exec::THREADS_ENV);
+        }
+        match before {
+            Some(v) => std::env::set_var(acir_exec::THREADS_ENV, v),
+            None => std::env::remove_var(acir_exec::THREADS_ENV),
         }
     }
 

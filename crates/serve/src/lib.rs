@@ -38,9 +38,10 @@
 //!   request, with the retry trail in the response's
 //!   [`Diagnostics`](acir_runtime::Diagnostics).
 //! * **Batched execution** — queued requests with the same (α, ε rung,
-//!   graph epoch) coalesce into one `ppr_push_batch_outcomes` lockstep
-//!   call; per-item results are bit-identical to the solo path at any
-//!   thread count (test-asserted).
+//!   graph epoch) share one pinned snapshot and fan their first
+//!   supervised attempts out over the exec pool; per-item results are
+//!   bit-identical to the solo `ppr_push_ctx` call at any thread count
+//!   (test-asserted).
 //! * **Hub sketches** ([`SketchStore`]) — when configured, the engine
 //!   precomputes truncated push vectors from the top-degree hubs and
 //!   routes first attempts through the splice kernel

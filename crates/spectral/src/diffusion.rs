@@ -133,84 +133,6 @@ pub fn heat_kernel_chebyshev(g: &Graph, t: f64, seed: &Seed, degree: usize) -> R
     )?)
 }
 
-/// Batched [`heat_kernel_chebyshev`]: diffuse every seed in one pass.
-///
-/// The normalized Laplacian is built once and each Chebyshev degree
-/// costs a single blocked SpMM over the whole batch
-/// ([`acir_linalg::chebyshev::cheb_heat_kernel_multi`]), which is how
-/// the NCP and case-study sweeps amortize their many-seed runs. Every
-/// output is bit-identical to the corresponding single-seed call.
-pub fn heat_kernel_chebyshev_multi(
-    g: &Graph,
-    t: f64,
-    seeds: &[Seed],
-    degree: usize,
-) -> Result<Vec<Vec<f64>>> {
-    if !(t >= 0.0 && t.is_finite()) {
-        return Err(SpectralError::InvalidArgument(format!(
-            "heat kernel time must be nonnegative, got {t}"
-        )));
-    }
-    let vs: Vec<Vec<f64>> = seeds
-        .iter()
-        .map(|s| s.to_vector(g))
-        .collect::<Result<_>>()?;
-    if t == 0.0 {
-        return Ok(vs);
-    }
-    let nl = normalized_laplacian(g);
-    Ok(acir_linalg::chebyshev::cheb_heat_kernel_multi(
-        &nl,
-        t,
-        &vs,
-        2.0,
-        degree.max(1),
-    )?)
-}
-
-/// Batched [`pagerank_power`]: advance one truncated-PageRank recurrence
-/// per seed in lockstep, so each sweep multiplies `M` into the whole
-/// batch at once ([`acir_linalg::CsrMatrix::matvec_multi_ws`]). Per-seed
-/// arithmetic is unchanged, so each `(vector, delta)` pair is
-/// bit-identical to the corresponding independent call.
-pub fn pagerank_power_multi(
-    g: &Graph,
-    gamma: f64,
-    seeds: &[Seed],
-    iters: usize,
-) -> Result<Vec<(Vec<f64>, f64)>> {
-    if !(0.0 < gamma && gamma <= 1.0) {
-        return Err(SpectralError::InvalidArgument(format!(
-            "pagerank needs gamma in (0, 1], got {gamma}"
-        )));
-    }
-    let ss: Vec<Vec<f64>> = seeds
-        .iter()
-        .map(|s| s.to_vector(g))
-        .collect::<Result<_>>()?;
-    let m = random_walk_matrix(g);
-    let n = g.n();
-    let mut xs = ss.clone();
-    let mut deltas = vec![0.0; ss.len()];
-    // Staging workspace and output batch held across sweeps: after the
-    // first sweep the SpMM allocates nothing
-    // ([`acir_linalg::CsrMatrix::matvec_multi_ws`]).
-    let mut ws = acir_linalg::Workspace::default();
-    let mut mxs: Vec<Vec<f64>> = Vec::new();
-    for _ in 0..iters {
-        m.matvec_multi_ws(&xs, &mut ws, &mut mxs);
-        for ((x, mx), (s, delta)) in xs.iter_mut().zip(&mxs).zip(ss.iter().zip(&mut deltas)) {
-            *delta = 0.0;
-            for i in 0..n {
-                let next = gamma * s[i] + (1.0 - gamma) * mx[i];
-                *delta += (next - x[i]).abs();
-                x[i] = next;
-            }
-        }
-    }
-    Ok(xs.into_iter().zip(deltas).collect())
-}
-
 /// The symmetrized PageRank system operator `I − (1−γ)·𝒜`.
 struct SysOp<'a> {
     a: &'a CsrMatrix,
@@ -392,6 +314,7 @@ enum PowerExit {
 /// a metered one may stop after fewer sweeps and certifies the iterate
 /// with its last update norm (`ℓ₁` distance between consecutive
 /// iterates — truncation is the paper's regularization, not a failure).
+/// Each sweep costs `nnz(M)` work units.
 pub fn pagerank_power_ctx(
     g: &Graph,
     gamma: f64,
@@ -441,19 +364,6 @@ pub fn pagerank_power_ctx(
         ),
         PowerExit::Diverged(cause) => SolverOutcome::diverged(cause, diags),
     })
-}
-
-/// Budgeted variant of [`pagerank_power`]: the truncated recurrence
-/// under a resource [`Budget`], each sweep costing `nnz(M)` work units.
-pub fn pagerank_power_budgeted(
-    g: &Graph,
-    gamma: f64,
-    seed: &Seed,
-    iters: usize,
-    budget: &Budget,
-) -> Result<SolverOutcome<(Vec<f64>, f64)>> {
-    let mut ctx = KernelCtx::budgeted("spectral.pagerank_power", budget);
-    pagerank_power_ctx(g, gamma, seed, iters, &mut ctx)
 }
 
 /// `k` steps of the lazy random walk `W_α = αI + (1−α)M` from the seed.
@@ -615,30 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_diffusions_bit_identical_to_independent_runs() {
-        let g = barbell(6, 2).unwrap();
-        let seeds = vec![Seed::Node(0), Seed::Node(7), Seed::Uniform];
-        for threads in ["1", "4"] {
-            std::env::set_var("ACIR_THREADS", threads);
-            let batched = pagerank_power_multi(&g, 0.1, &seeds, 25).unwrap();
-            for (seed, (x, delta)) in seeds.iter().zip(&batched) {
-                let (want_x, want_delta) = pagerank_power(&g, 0.1, seed, 25).unwrap();
-                assert_eq!(&want_x, x, "pagerank batch at {threads} threads");
-                assert_eq!(want_delta.to_bits(), delta.to_bits());
-            }
-            let hk = heat_kernel_chebyshev_multi(&g, 1.2, &seeds, 30).unwrap();
-            for (seed, got) in seeds.iter().zip(&hk) {
-                let want = heat_kernel_chebyshev(&g, 1.2, seed, 30).unwrap();
-                assert_eq!(&want, got, "heat kernel batch at {threads} threads");
-            }
-            std::env::remove_var("ACIR_THREADS");
-        }
-        assert!(pagerank_power_multi(&g, 0.0, &seeds, 3).is_err());
-        assert!(heat_kernel_chebyshev_multi(&g, -1.0, &seeds, 3).is_err());
-        assert!(heat_kernel_chebyshev_multi(&g, 0.0, &[Seed::Node(1)], 3).unwrap()[0][1] == 1.0);
-    }
-
-    #[test]
     fn pagerank_solves_the_resolvent_exactly() {
         // Verify (I − (1−γ)M) x = γ s.
         let g = barbell(4, 1).unwrap();
@@ -743,16 +629,18 @@ mod tests {
         let g = path(20).unwrap();
         // Unlimited budget: bit-identical to the plain recurrence.
         let (want_x, want_delta) = pagerank_power(&g, 0.1, &Seed::Node(0), 40).unwrap();
-        let out =
-            pagerank_power_budgeted(&g, 0.1, &Seed::Node(0), 40, &Budget::unlimited()).unwrap();
+        let budgeted = |budget: &Budget| {
+            let mut ctx = KernelCtx::budgeted("spectral.pagerank_power", budget);
+            pagerank_power_ctx(&g, 0.1, &Seed::Node(0), 40, &mut ctx).unwrap()
+        };
+        let out = budgeted(&Budget::unlimited());
         assert!(out.is_converged());
         let (x, delta) = out.value().unwrap();
         assert_eq!(&want_x, x);
         assert_eq!(want_delta.to_bits(), delta.to_bits());
         // Starved: exhausts with the update norm as certificate, and the
         // partial iterate matches the same number of plain sweeps.
-        let starved =
-            pagerank_power_budgeted(&g, 0.1, &Seed::Node(0), 40, &Budget::iterations(3)).unwrap();
+        let starved = budgeted(&Budget::iterations(3));
         assert!(!starved.is_converged() && starved.is_usable());
         let (x3, _) = starved.value().unwrap();
         let (want3, _) = pagerank_power(&g, 0.1, &Seed::Node(0), 3).unwrap();

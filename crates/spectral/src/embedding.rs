@@ -245,15 +245,18 @@ mod tests {
         let g = acir_graph::traversal::largest_component(&er).0;
         assert!(g.n() > DENSE_CUTOFF);
         let k = 3;
+        let before = std::env::var_os("ACIR_THREADS");
         let runs: Vec<SpectralEmbedding> = ["1", "4"]
             .iter()
             .map(|threads| {
                 std::env::set_var("ACIR_THREADS", threads);
-                let emb = spectral_embedding(&g, k).unwrap();
-                std::env::remove_var("ACIR_THREADS");
-                emb
+                spectral_embedding(&g, k).unwrap()
             })
             .collect();
+        match before {
+            Some(v) => std::env::set_var("ACIR_THREADS", v),
+            None => std::env::remove_var("ACIR_THREADS"),
+        }
         let bits = |e: &SpectralEmbedding| -> Vec<u64> {
             let coords = e.coords.iter().flatten();
             e.eigenvalues

@@ -369,6 +369,7 @@ mod tests {
         let mut want = CsrMatrix::from_triplets(n, n, trip);
         want.prune(0.0);
 
+        let before = std::env::var_os("ACIR_THREADS");
         for threads in ["1", "4"] {
             std::env::set_var("ACIR_THREADS", threads);
             let l = combinatorial_laplacian(&g);
@@ -388,7 +389,10 @@ mod tests {
             let mut cols = vec![0.0; n];
             m.matvec_transpose(&vec![1.0; n], &mut cols);
             assert!(cols.iter().all(|&c| (c - 1.0).abs() < 1e-12));
-            std::env::remove_var("ACIR_THREADS");
+        }
+        match before {
+            Some(v) => std::env::set_var("ACIR_THREADS", v),
+            None => std::env::remove_var("ACIR_THREADS"),
         }
     }
 

@@ -36,9 +36,8 @@ pub mod ranking;
 pub mod streaming;
 
 pub use diffusion::{
-    heat_kernel_chebyshev, heat_kernel_chebyshev_budgeted, heat_kernel_chebyshev_multi, lazy_walk,
-    pagerank, pagerank_budgeted, pagerank_power, pagerank_power_budgeted, pagerank_power_ctx,
-    pagerank_power_multi, Seed,
+    heat_kernel_chebyshev, heat_kernel_chebyshev_budgeted, lazy_walk, pagerank, pagerank_budgeted,
+    pagerank_power, pagerank_power_ctx, Seed,
 };
 pub use embedding::{adjusted_rand_index, kmeans, spectral_clustering, spectral_embedding};
 pub use fiedler::{fiedler_vector, FiedlerResult};

@@ -148,33 +148,6 @@ fn steady_state_allocation_budgets() {
         delta.heap_events()
     );
 
-    // --- matvec_multi_ws: with a caller-held workspace and reused
-    // output batch, the sequential SpMM path (nnz·k below the parallel
-    // threshold) performs exactly zero heap operations once warm —
-    // the fix for the per-call Vec<Vec<f64>> the old matvec_multi
-    // allocated every sweep. ---
-    let m = acir_spectral::random_walk_matrix(&g);
-    let xs: Vec<Vec<f64>> = (0..4)
-        .map(|j| (0..g.n()).map(|i| ((i + j) as f64).sin()).collect())
-        .collect();
-    let mut mws = Workspace::default();
-    let mut outs: Vec<Vec<f64>> = Vec::new();
-    for _ in 0..3 {
-        m.matvec_multi_ws(&xs, &mut mws, &mut outs);
-    }
-    let before = acir_mem::snapshot();
-    for _ in 0..CALLS {
-        m.matvec_multi_ws(&xs, &mut mws, &mut outs);
-        std::hint::black_box(&outs);
-    }
-    let delta = acir_mem::snapshot().since(&before);
-    assert_eq!(
-        delta.heap_events(),
-        0,
-        "matvec_multi_ws allocated in steady state: {delta:?}"
-    );
-    assert!(outs.iter().all(|o| o.len() == g.n()), "SpMM did real work");
-
     // --- MetricsRegistry: sampling a name that already exists touches
     // no heap — the budgeted push loop observes `residual` once per
     // push, and a key allocated per sample was the engine's whole

@@ -1,18 +1,19 @@
-//! The unified-context contract: every legacy entry-point variant
-//! (`*_ws`, `*_budgeted`, `*_batch`, `*_multi`) is a thin wrapper over
-//! the one `*_ctx` core loop, so each must return *bitwise identical*
-//! output to the explicit [`KernelCtx`] call — an unlimited budget, a
-//! caller-held workspace, or a batched schedule may change cost, never
-//! arithmetic. This suite is the executable matrix of that claim,
+//! The unified-context contract: a bare kernel name runs the one core
+//! loop behind its `*_ctx` entry point under an inert context, and the
+//! surviving `*_budgeted` routes (those that add an options clamp or a
+//! validation step) and `ppr_push_ws` run it under theirs, so each must
+//! return *bitwise identical* output to the explicit [`KernelCtx`] call
+//! — an unlimited budget or a caller-held workspace may change cost,
+//! never arithmetic. This suite is the executable matrix of that claim,
 //! checked at `ACIR_THREADS` 1 and 4 (DESIGN.md §10).
 
 use acir::prelude::*;
 use acir_flow::FlowNetwork;
 use acir_graph::gen::community::{social_network, SocialNetworkParams};
 use acir_graph::traversal::largest_component;
-use acir_linalg::chebyshev::{cheb_heat_kernel, cheb_heat_kernel_multi, ChebyshevExpansion};
-use acir_linalg::power::{power_method, power_method_budgeted, power_method_ctx, power_method_ws};
-use acir_linalg::solve::{cg, cg_budgeted, cg_ctx, cg_ws, CgOptions};
+use acir_linalg::chebyshev::ChebyshevExpansion;
+use acir_linalg::power::{power_method, power_method_budgeted, power_method_ctx};
+use acir_linalg::solve::{cg, cg_budgeted, cg_ctx, CgOptions};
 use acir_linalg::PowerOptions;
 use acir_local::sweep::sweep_cut_ctx;
 use acir_spectral::Seed;
@@ -77,7 +78,7 @@ fn check_linalg(g: &Graph) {
     let n = g.n();
     let v0 = start_vector(n);
 
-    // power_method: plain / _ws / _budgeted(unlimited) vs _ctx(inert).
+    // power_method: plain / _budgeted(unlimited) vs _ctx(inert).
     // A positive tolerance so every route exits Converged — a pure
     // early-stopping run (`tol: 0.0`) exits through the budget axis on
     // the budgeted path, which is a different (still value-identical)
@@ -93,13 +94,11 @@ fn check_linalg(g: &Graph) {
         "power",
     );
     let plain = power_method(&nl, &v0, &opts).unwrap();
-    let mut ws = Workspace::default();
-    let via_ws = power_method_ws(&nl, &v0, &opts, &mut ws).unwrap();
     let budgeted = converged(
         power_method_budgeted(&nl, &v0, &opts, &Budget::unlimited()).unwrap(),
         "power_budgeted",
     );
-    for (label, r) in [("plain", &plain), ("ws", &via_ws), ("budgeted", &budgeted)] {
+    for (label, r) in [("plain", &plain), ("budgeted", &budgeted)] {
         assert_eq!(
             bits(&reference.eigenvector),
             bits(&r.eigenvector),
@@ -109,7 +108,7 @@ fn check_linalg(g: &Graph) {
         assert_eq!(reference.iterations, r.iterations);
     }
 
-    // cg: plain / _ws / _budgeted(unlimited) vs _ctx(inert).
+    // cg: plain / _budgeted(unlimited) vs _ctx(inert).
     let b = start_vector(n);
     let x0 = vec![0.0; n];
     let cg_opts = CgOptions {
@@ -121,13 +120,11 @@ fn check_linalg(g: &Graph) {
     let mut ctx = KernelCtx::new();
     let reference = converged(cg_ctx(&spd, &b, &x0, &cg_opts, &mut ctx).unwrap(), "cg");
     let plain = cg(&spd, &b, &x0, &cg_opts).unwrap();
-    let mut ws = Workspace::default();
-    let via_ws = cg_ws(&spd, &b, &x0, &cg_opts, &mut ws).unwrap();
     let budgeted = converged(
         cg_budgeted(&spd, &b, &x0, &cg_opts, &Budget::unlimited()).unwrap(),
         "cg_budgeted",
     );
-    for (label, r) in [("plain", &plain), ("ws", &via_ws), ("budgeted", &budgeted)] {
+    for (label, r) in [("plain", &plain), ("budgeted", &budgeted)] {
         assert_eq!(
             bits(&reference.x),
             bits(&r.x),
@@ -136,48 +133,18 @@ fn check_linalg(g: &Graph) {
         assert_eq!(reference.iterations, r.iterations);
     }
 
-    // Chebyshev application: plain / _ws / _budgeted(unlimited) vs
-    // _ctx(inert), plus the blocked _multi per-column.
+    // Chebyshev application: plain vs _ctx(inert).
     let exp = ChebyshevExpansion::fit(|x| (-0.8 * x).exp(), 0.0, 2.0, 24).unwrap();
     let mut ctx = KernelCtx::new();
     let reference = converged(exp.apply_ctx(&nl, &v0, &mut ctx).unwrap(), "chebyshev");
     let plain = exp.apply(&nl, &v0).unwrap();
-    let mut ws = Workspace::default();
-    let via_ws = exp.apply_ws(&nl, &v0, &mut ws).unwrap();
-    let budgeted = converged(
-        exp.apply_budgeted(&nl, &v0, &Budget::unlimited()).unwrap(),
-        "chebyshev_budgeted",
-    );
     assert_eq!(bits(&reference), bits(&plain), "chebyshev plain");
-    assert_eq!(bits(&reference), bits(&via_ws), "chebyshev ws");
-    assert_eq!(bits(&reference), bits(&budgeted), "chebyshev budgeted");
-
-    let cols: Vec<Vec<f64>> = (0..3)
-        .map(|j| {
-            (0..n)
-                .map(|i| 1.0 + (0.11 * (i + 17 * j) as f64).cos())
-                .collect()
-        })
-        .collect();
-    let blocked = exp.apply_multi(&nl, &cols).unwrap();
-    for (j, col) in cols.iter().enumerate() {
-        let single = exp.apply(&nl, col).unwrap();
-        assert_eq!(
-            bits(&blocked[j]),
-            bits(&single),
-            "chebyshev apply_multi column {j} drifted from the single-vector call"
-        );
-    }
-
-    let hk = cheb_heat_kernel(&nl, 1.5, &v0, 2.0, 20).unwrap();
-    let hk_multi = cheb_heat_kernel_multi(&nl, 1.5, std::slice::from_ref(&v0), 2.0, 20).unwrap();
-    assert_eq!(bits(&hk), bits(&hk_multi[0]), "cheb_heat_kernel_multi");
 }
 
 fn check_local(g: &Graph) {
     let seeds: Vec<NodeId> = vec![1, 5];
 
-    // ppr_push: plain / _ws / _budgeted(unlimited) / _batch vs _ctx.
+    // ppr_push: plain / _ws vs _ctx.
     let mut ctx = KernelCtx::new();
     let reference = converged(
         ppr_push_ctx(g, &seeds, 0.05, 1e-5, &mut ctx).unwrap(),
@@ -187,17 +154,7 @@ fn check_local(g: &Graph) {
     let mut ws = PushWorkspace::default();
     let mut out = PushResult::empty();
     ppr_push_ws(g, &seeds, 0.05, 1e-5, &mut ws, &mut out).unwrap();
-    let budgeted = converged(
-        ppr_push_budgeted(g, &seeds, 0.05, 1e-5, &Budget::unlimited()).unwrap(),
-        "ppr_push_budgeted",
-    );
-    let batch = ppr_push_batch(g, &[seeds.clone(), vec![9]], 0.05, 1e-5).unwrap();
-    for (label, r) in [
-        ("plain", &plain),
-        ("ws", &out),
-        ("budgeted", &budgeted),
-        ("batch", &batch[0]),
-    ] {
+    for (label, r) in [("plain", &plain), ("ws", &out)] {
         assert_eq!(
             sparse_bits(&reference.vector),
             sparse_bits(&r.vector),
@@ -210,54 +167,36 @@ fn check_local(g: &Graph) {
             "ppr_push ({label})"
         );
     }
-    let lone = converged(
-        ppr_push_ctx(g, &[9], 0.05, 1e-5, &mut KernelCtx::new()).unwrap(),
-        "ppr_push[9]",
-    );
-    assert_eq!(sparse_bits(&lone.vector), sparse_bits(&batch[1].vector));
-
-    // hk_relax: plain / _budgeted(unlimited) vs _ctx.
+    // hk_relax: plain vs _ctx.
     let mut ctx = KernelCtx::new();
     let reference = converged(
         hk_relax_ctx(g, 1, 6.0, 1e-4, 1e-3, &mut ctx).unwrap(),
         "hk_relax",
     );
     let plain = hk_relax(g, 1, 6.0, 1e-4, 1e-3).unwrap();
-    let budgeted = converged(
-        hk_relax_budgeted(g, 1, 6.0, 1e-4, 1e-3, &Budget::unlimited()).unwrap(),
-        "hk_relax_budgeted",
+    assert_eq!(
+        sparse_bits(&reference.vector),
+        sparse_bits(&plain.vector),
+        "hk_relax drifted from the ctx call"
     );
-    for (label, r) in [("plain", &plain), ("budgeted", &budgeted)] {
-        assert_eq!(
-            sparse_bits(&reference.vector),
-            sparse_bits(&r.vector),
-            "hk_relax ({label}) drifted from the ctx call"
-        );
-        assert_eq!(reference.terms, r.terms);
-        assert_eq!(reference.mass_lost.to_bits(), r.mass_lost.to_bits());
-    }
+    assert_eq!(reference.terms, plain.terms);
+    assert_eq!(reference.mass_lost.to_bits(), plain.mass_lost.to_bits());
 
-    // nibble: plain / _budgeted(unlimited) vs _ctx.
+    // nibble: plain vs _ctx.
     let mut ctx = KernelCtx::new();
     let reference = converged(nibble_ctx(g, 1, 30, 1e-4, &mut ctx).unwrap(), "nibble");
     let plain = nibble(g, 1, 30, 1e-4).unwrap();
-    let budgeted = converged(
-        nibble_budgeted(g, 1, 30, 1e-4, &Budget::unlimited()).unwrap(),
-        "nibble_budgeted",
+    assert_eq!(reference.set, plain.set, "nibble");
+    assert_eq!(
+        reference.conductance.to_bits(),
+        plain.conductance.to_bits(),
+        "nibble"
     );
-    for (label, r) in [("plain", &plain), ("budgeted", &budgeted)] {
-        assert_eq!(reference.set, r.set, "nibble ({label})");
-        assert_eq!(
-            reference.conductance.to_bits(),
-            r.conductance.to_bits(),
-            "nibble ({label})"
-        );
-        assert_eq!(
-            sparse_bits(&reference.vector),
-            sparse_bits(&r.vector),
-            "nibble ({label})"
-        );
-    }
+    assert_eq!(
+        sparse_bits(&reference.vector),
+        sparse_bits(&plain.vector),
+        "nibble"
+    );
 
     // sweep_cut vs sweep_cut_ctx.
     let score = converged(
@@ -278,34 +217,19 @@ fn check_local(g: &Graph) {
 fn check_spectral(g: &Graph) {
     let seed = Seed::Node(1);
 
-    // pagerank_power: plain / _budgeted(unlimited) / _multi vs _ctx.
+    // pagerank_power: plain vs _ctx.
     let mut ctx = KernelCtx::new();
     let (ref_x, ref_delta) = converged(
         pagerank_power_ctx(g, 0.15, &seed, 25, &mut ctx).unwrap(),
         "pagerank_power",
     );
     let (plain_x, plain_delta) = pagerank_power(g, 0.15, &seed, 25).unwrap();
-    let (bud_x, bud_delta) = converged(
-        pagerank_power_budgeted(g, 0.15, &seed, 25, &Budget::unlimited()).unwrap(),
-        "pagerank_power_budgeted",
+    assert_eq!(
+        bits(&ref_x),
+        bits(&plain_x),
+        "pagerank_power drifted from the ctx call"
     );
-    let multi = pagerank_power_multi(g, 0.15, &[seed.clone(), Seed::Node(7)], 25).unwrap();
-    for (label, (x, delta)) in [
-        ("plain", (&plain_x, plain_delta)),
-        ("budgeted", (&bud_x, bud_delta)),
-        ("multi", (&multi[0].0, multi[0].1)),
-    ] {
-        assert_eq!(
-            bits(&ref_x),
-            bits(x),
-            "pagerank_power ({label}) drifted from the ctx call"
-        );
-        assert_eq!(
-            ref_delta.to_bits(),
-            delta.to_bits(),
-            "pagerank_power ({label})"
-        );
-    }
+    assert_eq!(ref_delta.to_bits(), plain_delta.to_bits(), "pagerank_power");
 
     // pagerank (CG route): plain vs _budgeted(unlimited).
     let plain = pagerank(g, 0.2, &seed).unwrap();
@@ -315,15 +239,13 @@ fn check_spectral(g: &Graph) {
     );
     assert_eq!(bits(&plain), bits(&budgeted), "pagerank budgeted drifted");
 
-    // heat_kernel_chebyshev: plain / _budgeted(unlimited) / _multi.
+    // heat_kernel_chebyshev: plain vs _budgeted(unlimited).
     let plain = heat_kernel_chebyshev(g, 2.0, &seed, 24).unwrap();
     let budgeted = converged(
         heat_kernel_chebyshev_budgeted(g, 2.0, &seed, 24, &Budget::unlimited()).unwrap(),
         "heat_kernel_chebyshev_budgeted",
     );
-    let multi = heat_kernel_chebyshev_multi(g, 2.0, std::slice::from_ref(&seed), 24).unwrap();
     assert_eq!(bits(&plain), bits(&budgeted), "heat_kernel budgeted");
-    assert_eq!(bits(&plain), bits(&multi[0]), "heat_kernel multi");
 }
 
 fn check_flow(g: &Graph) {
@@ -345,22 +267,14 @@ fn check_flow(g: &Graph) {
         "max_flow",
     );
     let plain = build().max_flow(s, t).unwrap();
-    let budgeted = converged(
-        build()
-            .max_flow_budgeted(s, t, &Budget::unlimited())
-            .unwrap(),
-        "max_flow_budgeted",
+    assert_eq!(
+        reference.value.to_bits(),
+        plain.value.to_bits(),
+        "dinic max_flow drifted from the ctx call"
     );
-    for (label, r) in [("plain", &plain), ("budgeted", &budgeted)] {
-        assert_eq!(
-            reference.value.to_bits(),
-            r.value.to_bits(),
-            "dinic max_flow ({label}) drifted from the ctx call"
-        );
-        assert_eq!(reference.source_side, r.source_side, "dinic ({label})");
-    }
+    assert_eq!(reference.source_side, plain.source_side, "dinic");
 
-    // mqi: plain / _budgeted(unlimited) vs _ctx.
+    // mqi: plain vs _ctx.
     let side: Vec<NodeId> = {
         let cut = spectral_bisect(g).unwrap();
         let total = g.total_volume();
@@ -372,19 +286,13 @@ fn check_flow(g: &Graph) {
     };
     let reference = converged(mqi_ctx(g, &side, &mut KernelCtx::new()).unwrap(), "mqi");
     let plain = mqi(g, &side).unwrap();
-    let budgeted = converged(
-        mqi_budgeted(g, &side, &Budget::unlimited()).unwrap(),
-        "mqi_budgeted",
+    assert_eq!(reference.set, plain.set, "mqi");
+    assert_eq!(
+        reference.conductance.to_bits(),
+        plain.conductance.to_bits(),
+        "mqi"
     );
-    for (label, r) in [("plain", &plain), ("budgeted", &budgeted)] {
-        assert_eq!(reference.set, r.set, "mqi ({label})");
-        assert_eq!(
-            reference.conductance.to_bits(),
-            r.conductance.to_bits(),
-            "mqi ({label})"
-        );
-        assert_eq!(reference.iterations, r.iterations, "mqi ({label})");
-    }
+    assert_eq!(reference.iterations, plain.iterations, "mqi");
 }
 
 /// The full matrix at both thread counts: parallel scheduling is

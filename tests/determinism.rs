@@ -162,14 +162,6 @@ fn parallel_kernels_bit_identical_across_env_thread_counts() {
     assert_eq!(s1.set, s4.set);
     assert_eq!(s1.conductance.to_bits(), s4.conductance.to_bits());
 
-    // Batched pushes distribute seeds across workers; still identical.
-    let sets: Vec<Vec<NodeId>> = (0..6).map(|i| vec![i * 40]).collect();
-    let b1 = with_threads(1, || ppr_push_batch(&g, &sets, 0.08, 1e-4).unwrap());
-    let b4 = with_threads(4, || ppr_push_batch(&g, &sets, 0.08, 1e-4).unwrap());
-    for (ra, rb) in b1.iter().zip(&b4) {
-        assert_eq!(ra.vector, rb.vector);
-    }
-
     // A quick NCP sweep: same envelope.
     let opts = NcpOptions {
         min_size: 2,

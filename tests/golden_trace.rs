@@ -31,8 +31,14 @@ use acir_linalg::{
     cg_budgeted, power_method_budgeted, CgOptions, DenseMatrix, FaultyOp, PowerOptions, ShiftedOp,
 };
 use acir_obs::{golden, Trace};
-use acir_runtime::{Budget, Diagnostics, FaultConfig, SolverOutcome};
+use acir_runtime::{Budget, Diagnostics, FaultConfig, GuardConfig, KernelCtx, SolverOutcome};
 use std::path::{Path, PathBuf};
+
+/// The metered, contamination-guarded context every budgeted kernel
+/// run below uses.
+fn guarded(kernel: &'static str, budget: &Budget) -> KernelCtx {
+    KernelCtx::budgeted(kernel, budget).with_guard(GuardConfig::contamination_only())
+}
 
 fn golden_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -184,8 +190,8 @@ fn golden_linalg_power_faulted() {
 #[test]
 fn golden_local_ppr_push_converged() {
     let g = ring_of_cliques(4, 6).expect("ring of cliques");
-    let out =
-        acir_local::ppr_push_budgeted(&g, &[0], 0.1, 1e-4, &Budget::unlimited()).expect("ppr push");
+    let mut ctx = guarded("local.ppr_push", &Budget::unlimited());
+    let out = acir_local::ppr_push_ctx(&g, &[0], 0.1, 1e-4, &mut ctx).expect("ppr push");
     assert!(out.is_converged());
     check("local_ppr_push_converged", out.diagnostics());
 }
@@ -193,8 +199,8 @@ fn golden_local_ppr_push_converged() {
 #[test]
 fn golden_local_ppr_push_exhausted() {
     let g = ring_of_cliques(4, 6).expect("ring of cliques");
-    let out = acir_local::ppr_push_budgeted(&g, &[0], 0.05, 1e-6, &Budget::iterations(10))
-        .expect("ppr push");
+    let mut ctx = guarded("local.ppr_push", &Budget::iterations(10));
+    let out = acir_local::ppr_push_ctx(&g, &[0], 0.05, 1e-6, &mut ctx).expect("ppr push");
     assert!(!out.is_converged());
     check("local_ppr_push_exhausted", out.diagnostics());
 }
@@ -202,8 +208,8 @@ fn golden_local_ppr_push_exhausted() {
 #[test]
 fn golden_local_hk_relax_converged() {
     let g = ring_of_cliques(4, 6).expect("ring of cliques");
-    let out = acir_local::hk_relax_budgeted(&g, 0, 5.0, 1e-4, 1e-6, &Budget::unlimited())
-        .expect("hk relax");
+    let mut ctx = guarded("local.hk_relax", &Budget::unlimited());
+    let out = acir_local::hk_relax_ctx(&g, 0, 5.0, 1e-4, 1e-6, &mut ctx).expect("hk relax");
     assert!(out.is_converged());
     check("local_hk_relax_converged", out.diagnostics());
 }
@@ -230,9 +236,8 @@ fn diamond_network() -> acir_flow::FlowNetwork {
 #[test]
 fn golden_flow_dinic_converged() {
     let mut net = diamond_network();
-    let out = net
-        .max_flow_budgeted(0, 5, &Budget::unlimited())
-        .expect("max flow");
+    let mut ctx = guarded("flow.dinic", &Budget::unlimited());
+    let out = net.max_flow_ctx(0, 5, &mut ctx).expect("max flow");
     assert!(out.is_converged());
     check("flow_dinic_converged", out.diagnostics());
 }
@@ -240,9 +245,8 @@ fn golden_flow_dinic_converged() {
 #[test]
 fn golden_flow_dinic_exhausted() {
     let mut net = diamond_network();
-    let out = net
-        .max_flow_budgeted(0, 5, &Budget::iterations(1))
-        .expect("max flow");
+    let mut ctx = guarded("flow.dinic", &Budget::iterations(1));
+    let out = net.max_flow_ctx(0, 5, &mut ctx).expect("max flow");
     assert!(!out.is_converged());
     check("flow_dinic_exhausted", out.diagnostics());
 }
@@ -262,9 +266,8 @@ fn golden_flow_push_relabel_converged() {
     ] {
         net.add_arc(u, v, c).expect("arc");
     }
-    let out = net
-        .max_flow_budgeted(0, 5, &Budget::unlimited())
-        .expect("max flow");
+    let mut ctx = guarded("flow.push_relabel", &Budget::unlimited());
+    let out = net.max_flow_ctx(0, 5, &mut ctx).expect("max flow");
     assert!(out.is_converged());
     check("flow_push_relabel_converged", out.diagnostics());
 }
@@ -273,7 +276,8 @@ fn golden_flow_push_relabel_converged() {
 fn golden_flow_mqi_converged() {
     let g = barbell(6, 2).expect("barbell");
     let side: Vec<u32> = (0..7).collect();
-    let out = acir_flow::mqi_budgeted(&g, &side, &Budget::unlimited()).expect("mqi");
+    let mut ctx = guarded("flow.mqi", &Budget::unlimited());
+    let out = acir_flow::mqi_ctx(&g, &side, &mut ctx).expect("mqi");
     assert!(out.is_converged());
     check("flow_mqi_converged", out.diagnostics());
 }
@@ -539,8 +543,8 @@ fn golden_serve_compact_inflight() {
 #[test]
 fn traces_serialize_to_parseable_jsonl() {
     let g = ring_of_cliques(4, 6).expect("ring of cliques");
-    let out =
-        acir_local::ppr_push_budgeted(&g, &[0], 0.1, 1e-4, &Budget::unlimited()).expect("ppr push");
+    let mut ctx = guarded("local.ppr_push", &Budget::unlimited());
+    let out = acir_local::ppr_push_ctx(&g, &[0], 0.1, 1e-4, &mut ctx).expect("ppr push");
     let mut sink = acir_obs::JsonlSink::new(Vec::new());
     out.diagnostics().trace.replay_into(&mut sink);
     let buf = sink.into_inner();

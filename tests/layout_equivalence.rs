@@ -8,8 +8,8 @@
 //!
 //! * a proptest matrix over random sparse matrices (including empty
 //!   rows, isolated columns, rectangular shapes, and row counts that
-//!   leave a ragged final SELL slice) comparing `matvec`,
-//!   `matvec_transpose`, and `matvec_multi` across all layouts;
+//!   leave a ragged final SELL slice) comparing `matvec` and
+//!   `matvec_transpose` across all layouts;
 //! * hostile values: an `∞` in `x` at a column only padding could
 //!   touch must not surface as NaN (SELL never multiplies padding);
 //! * cache invalidation: mutating a matrix after a SELL/merge product
@@ -40,12 +40,6 @@ fn mtv(a: &CsrMatrix, x: &[f64], layout: SpmvLayout) -> Vec<f64> {
     let mut y = vec![0.0; a.ncols()];
     a.matvec_transpose(x, &mut y);
     y
-}
-
-/// Blocked multi-RHS product under an explicit layout scope.
-fn mmv(a: &CsrMatrix, xs: &[Vec<f64>], layout: SpmvLayout) -> Vec<Vec<f64>> {
-    let _scope = spmv_layout_scope(layout);
-    a.matvec_multi(xs)
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -91,32 +85,18 @@ const ALT: [SpmvLayout; 4] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// matvec / matvec_transpose / matvec_multi agree bitwise with the
-    /// scalar CSR path on every alternate layout.
+    /// matvec / matvec_transpose agree bitwise with the scalar CSR path
+    /// on every alternate layout.
     #[test]
     fn products_bitwise_identical_across_layouts(a in arb_matrix(), vseed in 0u64..1000) {
         let x = probe_vector(a.ncols(), vseed);
         let xt = probe_vector(a.nrows(), vseed ^ 0x9e37);
-        let xs: Vec<Vec<f64>> = (0..3)
-            .map(|j| probe_vector(a.ncols(), vseed.wrapping_add(j)))
-            .collect();
 
         let y_csr = mv(&a, &x, SpmvLayout::Csr);
         let yt_csr = mtv(&a, &xt, SpmvLayout::Csr);
-        let ym_csr = mmv(&a, &xs, SpmvLayout::Csr);
-        // The blocked product must match the one-at-a-time product
-        // bitwise, per vector, on the scalar layout itself.
-        for (yj, xj) in ym_csr.iter().zip(&xs) {
-            prop_assert_eq!(bits(yj), bits(&mv(&a, xj, SpmvLayout::Csr)));
-        }
         for layout in ALT {
             prop_assert_eq!(bits(&y_csr), bits(&mv(&a, &x, layout)), "matvec {}", layout);
             prop_assert_eq!(bits(&yt_csr), bits(&mtv(&a, &xt, layout)), "transpose {}", layout);
-            let ym = mmv(&a, &xs, layout);
-            prop_assert_eq!(ym_csr.len(), ym.len());
-            for (yj_csr, yj) in ym_csr.iter().zip(&ym) {
-                prop_assert_eq!(bits(yj_csr), bits(yj), "multi {}", layout);
-            }
         }
     }
 
@@ -227,11 +207,9 @@ fn parallel_paths_and_selection_mechanisms_agree() {
     let nl = acir_spectral::normalized_laplacian(&g);
     assert!(nl.nnz() > 16_384, "operator too small to exercise fan-out");
     let x = probe_vector(nl.ncols(), 3);
-    let xs: Vec<Vec<f64>> = (0..2).map(|j| probe_vector(nl.ncols(), 20 + j)).collect();
 
     let reference = with_threads(1, || mv(&nl, &x, SpmvLayout::Csr));
     let ref_t = with_threads(1, || mtv(&nl, &x, SpmvLayout::Csr));
-    let ref_m = with_threads(1, || mmv(&nl, &xs, SpmvLayout::Csr));
     for threads in [1usize, 4] {
         for layout in [
             SpmvLayout::Csr,
@@ -240,18 +218,9 @@ fn parallel_paths_and_selection_mechanisms_agree() {
             SpmvLayout::Merge,
             SpmvLayout::Auto,
         ] {
-            let (y, yt, ym) = with_threads(threads, || {
-                (
-                    mv(&nl, &x, layout),
-                    mtv(&nl, &x, layout),
-                    mmv(&nl, &xs, layout),
-                )
-            });
+            let (y, yt) = with_threads(threads, || (mv(&nl, &x, layout), mtv(&nl, &x, layout)));
             assert_eq!(bits(&reference), bits(&y), "matvec {layout} @{threads}t");
             assert_eq!(bits(&ref_t), bits(&yt), "transpose {layout} @{threads}t");
-            for (a, b) in ref_m.iter().zip(&ym) {
-                assert_eq!(bits(a), bits(b), "multi {layout} @{threads}t");
-            }
         }
     }
 

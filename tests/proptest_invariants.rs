@@ -335,7 +335,9 @@ proptest! {
         work in 1u64..40,
     ) {
         let seed = raw_seed % g.n() as u32;
-        let out = ppr_push_budgeted(&g, &[seed], 0.15, 1e-7, &Budget::work(work)).unwrap();
+        let mut ctx = KernelCtx::budgeted("local.ppr_push", &Budget::work(work))
+            .with_guard(GuardConfig::contamination_only());
+        let out = ppr_push_ctx(&g, &[seed], 0.15, 1e-7, &mut ctx).unwrap();
         prop_assert!(out.is_usable());
         let r = out.value().expect("usable");
         let p_mass: f64 = r.vector.iter().map(|&(_, x)| x).sum();

@@ -66,14 +66,6 @@ fn repeated_calls_through_warm_pools_are_bit_identical() {
                 assert_eq!(first.pushes, out.pushes);
             }
 
-            // Batch path (runs on the exec pool at threads > 1).
-            let sets: Vec<Vec<NodeId>> = (0..4).map(|i| vec![i * 30]).collect();
-            let b_first = ppr_push_batch(&g, &sets, 0.05, 1e-5).unwrap();
-            let b_again = ppr_push_batch(&g, &sets, 0.05, 1e-5).unwrap();
-            for (a, b) in b_first.iter().zip(&b_again) {
-                assert_eq!(a.vector, b.vector, "ppr_push_batch drifted on reuse");
-            }
-
             // hk_relax: pooled Taylor-weight and residual scratch.
             let h_first = hk_relax(&g, seed, 3.0, 1e-4, 1e-8).unwrap();
             for _ in 0..3 {
